@@ -4,7 +4,10 @@
 //! ```sh
 //! cargo run --release -p gapbs-bench --bin claims -- results/results_medium.csv
 //! ```
+//!
+//! `GAPBS_SCALE` names the scale the CSV was recorded at, as for `run_all`.
 
+use gapbs_bench::scale_from_env;
 use gapbs_core::Report;
 
 fn main() {
@@ -18,7 +21,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match Report::from_csv(&text) {
+    match Report::from_csv(&text, scale_from_env()) {
         Ok(report) => println!("{}", gapbs_bench::shape_claims(&report)),
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");

@@ -80,6 +80,7 @@ fn main() {
     let report = run_matrix_in_pool(
         &frameworks,
         &inputs,
+        scale,
         &Kernel::ALL,
         &Mode::ALL,
         &config,

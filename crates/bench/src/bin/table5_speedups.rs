@@ -24,6 +24,7 @@ fn main() {
     let report = run_matrix(
         &frameworks,
         &inputs,
+        scale,
         &Kernel::ALL,
         &Mode::ALL,
         &config,

@@ -181,7 +181,8 @@ impl Report {
     }
 
     /// Parses a report back from [`Report::to_csv`] output, so analyses
-    /// (shape claims, custom tables) can run without re-measuring.
+    /// (shape claims, custom tables) can run without re-measuring. The
+    /// CSV does not record the corpus scale; `scale` supplies it.
     ///
     /// Each row contributes one cell whose single recorded time is the
     /// row's `best_s` (the statistic the tables use).
@@ -189,7 +190,7 @@ impl Report {
     /// # Errors
     ///
     /// Returns a message naming the offending line on malformed input.
-    pub fn from_csv(text: &str) -> Result<Report, String> {
+    pub fn from_csv(text: &str, scale: Scale) -> Result<Report, String> {
         let mut cells = Vec::new();
         for (idx, line) in text.lines().enumerate().skip(1) {
             if line.trim().is_empty() {
@@ -224,7 +225,7 @@ impl Report {
                 note: fields.get(8).unwrap_or(&"").to_string(),
             });
         }
-        Ok(Report::new(Scale::Medium, cells))
+        Ok(Report::new(scale, cells))
     }
 
     /// Serializes every cell as CSV
@@ -385,6 +386,16 @@ mod tests {
         let t3 = render_table3(&fws);
         assert!(t3.contains("Label Propagation"));
         assert!(t3.contains("Lee & Low"));
+    }
+
+    #[test]
+    fn table_headers_carry_the_run_scale() {
+        let r = sample_report();
+        assert!(r.table4().contains("corpus scale tiny"));
+        assert!(r.table5().contains("corpus scale tiny"));
+        let parsed = Report::from_csv(&r.to_csv(), Scale::Small).unwrap();
+        assert_eq!(parsed.scale(), Scale::Small);
+        assert!(parsed.table4().contains("corpus scale small"));
     }
 
     #[test]

@@ -289,13 +289,15 @@ pub fn run_cell_in_pool(
 }
 
 /// Runs the full benchmark matrix: every framework × kernel × graph ×
-/// mode, in the paper's table order, and collects a [`Report`].
+/// mode, in the paper's table order, and collects a [`Report`] labelled
+/// with `scale`, the corpus scale `inputs` were generated at.
 ///
 /// `progress` receives one line per completed cell (pass `|_| {}` to run
 /// silently).
 pub fn run_matrix<F>(
     frameworks: &[Box<dyn Framework>],
     inputs: &[BenchGraph],
+    scale: Scale,
     kernels: &[Kernel],
     modes: &[Mode],
     config: &TrialConfig,
@@ -307,7 +309,9 @@ where
     // One persistent worker team for the whole matrix: every cell's
     // regions reuse it, so a full run pays exactly one spawn event.
     let pool = ThreadPool::new(config.threads);
-    run_matrix_in_pool(frameworks, inputs, kernels, modes, config, progress, &pool)
+    run_matrix_in_pool(
+        frameworks, inputs, scale, kernels, modes, config, progress, &pool,
+    )
 }
 
 /// [`run_matrix`] on an existing pool — callers that already own a team
@@ -316,6 +320,7 @@ where
 pub fn run_matrix_in_pool<F>(
     frameworks: &[Box<dyn Framework>],
     inputs: &[BenchGraph],
+    scale: Scale,
     kernels: &[Kernel],
     modes: &[Mode],
     config: &TrialConfig,
@@ -338,7 +343,7 @@ where
             }
         }
     }
-    Report::new(Scale::Medium, cells)
+    Report::new(scale, cells)
 }
 
 #[cfg(test)]

@@ -52,9 +52,6 @@ pub struct EngineConfig {
     pub max_waiting: usize,
     /// Deadline applied when a query carries none (`None` = unbounded).
     pub default_deadline_ms: Option<u64>,
-    /// Admission window for transparently coalescing concurrent
-    /// single-source BFS queries into one MS-BFS execution (0 = off).
-    pub coalesce_window_ms: u64,
     /// Slow-query threshold: a successful query at or past this latency
     /// emits one structured JSON line to stderr (`None` = off).
     pub slow_ms: Option<u64>,
@@ -66,7 +63,6 @@ impl Default for EngineConfig {
             max_active: 8,
             max_waiting: 128,
             default_deadline_ms: None,
-            coalesce_window_ms: 2,
             slow_ms: None,
         }
     }
@@ -80,7 +76,7 @@ pub struct Engine {
     metrics: ServeMetrics,
     ledger: Option<LedgerSink>,
     default_deadline_ms: Option<u64>,
-    coalescer: Option<Coalescer>,
+    coalescer: Coalescer,
     slow_ms: Option<u64>,
     seq: AtomicU64,
 }
@@ -119,8 +115,7 @@ impl Engine {
             metrics,
             ledger,
             default_deadline_ms: config.default_deadline_ms,
-            coalescer: (config.coalesce_window_ms > 0)
-                .then(|| Coalescer::new(Duration::from_millis(config.coalesce_window_ms))),
+            coalescer: Coalescer::default(),
             slow_ms: config.slow_ms,
             seq: AtomicU64::new(0),
         }
@@ -179,7 +174,7 @@ impl Engine {
             self.run_traced(query, &mut trace_payload)
         } else {
             match self.coalescible(query) {
-                Some(bench) => self.run_coalesced(query, &bench),
+                Some((bench, gap)) => self.run_coalesced(query, &bench, gap),
                 None => run_query_local(&self.registry, query, &self.pool),
             }
         };
@@ -413,12 +408,12 @@ impl Engine {
             .collect())
     }
 
-    /// Whether `query` may join a coalesced MS-BFS batch: a single-source
-    /// BFS on the reference engine against a resident graph, with its
-    /// source in range. Everything else takes the solo path (which also
-    /// produces the precise error for bad inputs).
-    fn coalescible(&self, query: &Query) -> Option<Arc<BenchGraph>> {
-        self.coalescer.as_ref()?;
+    /// Whether `query` may join a coalesced batch: a single-source BFS
+    /// on the reference engine against a resident graph, with its source
+    /// in range. Returns the graph and the GAP adapter. Everything else
+    /// takes the solo path (which also produces the precise error for
+    /// bad inputs).
+    fn coalescible(&self, query: &Query) -> Option<(Arc<BenchGraph>, &dyn Framework)> {
         if query.kernel != gapbs_core::Kernel::Bfs
             || query.framework != "GAP"
             || query.mode != gapbs_core::Mode::Baseline
@@ -430,43 +425,40 @@ impl Engine {
         if (source as usize) >= bench.num_vertices() {
             return None;
         }
-        Some(Arc::clone(bench))
+        let gap = self.registry.framework(&query.framework)?;
+        Some((Arc::clone(bench), gap))
     }
 
-    /// Executes one eligible query through the coalescer: the first
-    /// member leads (holds the window, runs MS-BFS over everyone's
-    /// sources, publishes per-member depth columns); followers park and
-    /// wake with their column. Response fields and fingerprint are
-    /// exactly what the solo path produces for the same query.
-    fn run_coalesced(&self, query: &Query, bench: &BenchGraph) -> Result<QueryOutcome, ProtoError> {
-        let coalescer = self.coalescer.as_ref().expect("checked by coalescible");
+    /// Executes one eligible query through the coalescer. A leader waits
+    /// for its graph's turn, then runs its batch: a lone source through
+    /// the GAP adapter's direction-optimizing `bfs` (exactly what
+    /// [`execute_query`] runs), two or more through one MS-BFS; it
+    /// publishes per-member depth columns. Followers park and wake with
+    /// their column. Response fields and fingerprint are exactly what the
+    /// solo path produces for the same query.
+    fn run_coalesced(
+        &self,
+        query: &Query,
+        bench: &BenchGraph,
+        gap: &dyn Framework,
+    ) -> Result<QueryOutcome, ProtoError> {
         let source = query.source.expect("checked by coalescible");
-        let depths: MemberDepths = match coalescer.join(query.graph, source) {
-            Joined::Leader(batch) => {
-                std::thread::sleep(coalescer.window());
-                let sources = coalescer.close(query.graph, &batch);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let depths: MemberDepths = match self.coalescer.join(query.graph, source) {
+            Joined::Leader(leader) => {
+                let sources = leader.sources();
+                let columns: Vec<MemberDepths> = if let [only] = sources[..] {
+                    let parents = gap.prepare(bench, query.mode, &self.pool).bfs(only);
+                    vec![Arc::new(canonical::bfs_depths(&parents))]
+                } else {
                     gapbs_ref::ms_bfs(&bench.graph, &sources, &self.pool)
-                }));
-                match run {
-                    Ok(result) => {
-                        let columns: Vec<MemberDepths> =
-                            result.depths.into_iter().map(Arc::new).collect();
-                        self.gate.note_batch(sources.len() as u64);
-                        self.metrics.observe_batch_width(sources.len() as u64);
-                        let mine = Arc::clone(&columns[0]);
-                        batch.publish(Ok(columns));
-                        mine
-                    }
-                    Err(panic) => {
-                        // Wake the followers before unwinding this thread.
-                        batch.publish(Err(ProtoError::new(
-                            ErrorCode::Internal,
-                            "batch leader panicked during MS-BFS",
-                        )));
-                        std::panic::resume_unwind(panic);
-                    }
-                }
+                        .depths
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect()
+                };
+                self.gate.note_batch(sources.len() as u64);
+                self.metrics.observe_batch_width(sources.len() as u64);
+                leader.publish(columns)
             }
             Joined::Follower(batch, member) => batch.wait(member)?,
         };
@@ -1042,54 +1034,69 @@ mod tests {
     fn coalesced_queries_fingerprint_identically_to_solo_runs() {
         let registry = Arc::clone(tiny_registry());
         let pool = ThreadPool::new(2);
-        // A generous window so concurrently-spawned queries reliably land
-        // in one batch; correctness does not depend on them merging.
-        let config = EngineConfig {
-            coalesce_window_ms: 200,
-            ..EngineConfig::default()
-        };
-        let engine = Arc::new(Engine::new(
+        let engine = Engine::new(
             Arc::clone(&registry),
             pool.clone(),
-            config,
+            EngineConfig::default(),
             None,
-        ));
-        let sources = [1u32, 6, 11];
-        let lines: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .iter()
-                .map(|&s| {
-                    let engine = Arc::clone(&engine);
-                    scope.spawn(move || {
-                        let q = query(&format!(
-                            r#"{{"kernel":"bfs","graph":"kron","source":{s}}}"#
-                        ));
-                        engine.handle(&q)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (line, &s) in lines.iter().zip(&sources) {
+        );
+        let solo = |s: u32| {
+            let q = query(&format!(
+                r#"{{"kernel":"bfs","graph":"kron","source":{s}}}"#
+            ));
+            run_query_local(&registry, &q, &pool).unwrap().fingerprint
+        };
+        let answer = |line: &str, s: u32| {
             let v = Json::parse(line).unwrap();
             assert_eq!(
                 v.get("ok").and_then(Json::as_bool),
                 Some(true),
                 "line: {line}"
             );
-            let solo = query(&format!(
-                r#"{{"kernel":"bfs","graph":"kron","source":{s}}}"#
-            ));
-            let expected = run_query_local(&registry, &solo, &pool).unwrap();
             assert_eq!(
                 v.get("fingerprint").and_then(Json::as_str),
-                Some(format!("{:016x}", expected.fingerprint).as_str()),
+                Some(format!("{:016x}", solo(s)).as_str()),
                 "source {s}"
             );
+        };
+        // A lone query leads a batch of one on the direction-optimizing
+        // kernel.
+        answer(
+            &engine.handle(&query(r#"{"kernel":"bfs","graph":"kron","source":1}"#)),
+            1,
+        );
+        assert_eq!(engine.gate().snapshot().batch_width, 1);
+        // Queries that arrive while a batch on the graph runs queue into
+        // one batch, which runs when the held batch hands the turn on.
+        let sources = [1u32, 6, 11];
+        let held = match engine.coalescer.join(GraphSpec::Kron, 0) {
+            Joined::Leader(leader) => leader,
+            Joined::Follower(..) => panic!("an idle graph's first join leads"),
+        };
+        let lines: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = sources
+                .iter()
+                .map(|&s| {
+                    let engine = &engine;
+                    scope.spawn(move || {
+                        engine.handle(&query(&format!(
+                            r#"{{"kernel":"bfs","graph":"kron","source":{s}}}"#
+                        )))
+                    })
+                })
+                .collect();
+            while engine.coalescer.queued(GraphSpec::Kron) < sources.len() {
+                std::thread::yield_now();
+            }
+            drop(held);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (line, &s) in lines.iter().zip(&sources) {
+            answer(line, s);
         }
         let snap = engine.gate().snapshot();
-        assert_eq!(snap.batch_queries, 3, "all three queries rode batches");
-        assert!(snap.batch_width >= 2, "concurrent queries coalesced");
+        assert_eq!(snap.batch_queries, 4, "every query rode a batch");
+        assert_eq!(snap.batch_width, 3, "the queued queries ran as one batch");
         assert!(snap.batch_queries <= snap.admitted);
     }
 

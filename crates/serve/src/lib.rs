@@ -13,10 +13,10 @@
 //! * [`admission`] — a bounded concurrency gate with deadline-aware
 //!   queueing, so overload degrades into fast rejections instead of
 //!   unbounded queueing inside the pool;
-//! * [`coalesce`] — an admission-window collector that transparently
-//!   merges concurrent same-graph single-source BFS queries into one
-//!   multi-source (MS-BFS) execution, with per-source fan-out and
-//!   unchanged canonical fingerprints;
+//! * [`coalesce`] — per-graph group commit: a lone single-source BFS
+//!   runs at once, and same-graph queries that arrive while one runs
+//!   merge into the next multi-source (MS-BFS) execution, with
+//!   per-source fan-out and unchanged canonical fingerprints;
 //! * [`engine`] — per-query lifecycle: admit, execute on the shared
 //!   [`ThreadPool`], deadline-check, account one ledger record;
 //! * [`metrics`] — the live metrics plane: per-{kernel, graph,

@@ -39,7 +39,7 @@ pub struct ServeMetrics {
     latency_by_label: Mutex<BTreeMap<(String, String, String), HistogramHandle>>,
     /// Time from request receipt to permit grant (µs), all queries.
     queue_wait_us: HistogramHandle,
-    /// Members per executed MS-BFS batch (explicit or coalesced).
+    /// Members per executed batch (explicit or coalesced).
     batch_width: HistogramHandle,
     /// Queries past the `--slow-ms` threshold (0 when unset).
     slow_queries: CounterHandle,
@@ -85,7 +85,7 @@ impl ServeMetrics {
         );
         let batch_width = registry.histogram(
             "batch_width",
-            "Logical queries answered per executed MS-BFS batch",
+            "Logical queries answered per executed BFS batch (explicit or coalesced)",
         );
         let slow_queries = registry.counter(
             "slow_queries_total",

@@ -452,7 +452,7 @@ pub fn serve_main(args: impl Iterator<Item = String>) -> i32 {
     let usage =
         "usage: serve [--addr HOST:PORT] [--port-file PATH] [--scale tiny|small|medium|large] \
                  [--graphs a,b,...] [--threads N] [--max-active N] [--max-waiting N] \
-                 [--deadline-ms N] [--coalesce-ms N] [--slow-ms N] [--ledger PATH] \
+                 [--deadline-ms N] [--slow-ms N] [--ledger PATH] \
                  [--metrics-addr HOST:PORT] [--metrics-port-file PATH] \
                  [--snapshot-dir DIR] [--paranoid]";
     while let Some(arg) = args.next() {
@@ -481,9 +481,6 @@ pub fn serve_main(args: impl Iterator<Item = String>) -> i32 {
             "--deadline-ms" => value("--deadline-ms")
                 .and_then(|v| v.parse().map_err(|_| "bad --deadline-ms".to_string()))
                 .map(|n| config.engine.default_deadline_ms = Some(n)),
-            "--coalesce-ms" => value("--coalesce-ms")
-                .and_then(|v| v.parse().map_err(|_| "bad --coalesce-ms".to_string()))
-                .map(|n| config.engine.coalesce_window_ms = n),
             "--slow-ms" => value("--slow-ms")
                 .and_then(|v| v.parse().map_err(|_| "bad --slow-ms".to_string()))
                 .map(|n| config.engine.slow_ms = Some(n)),

@@ -28,6 +28,7 @@ fn main() {
     let report = run_matrix(
         &frameworks,
         &inputs,
+        Scale::Small,
         &Kernel::ALL,
         &[Mode::Baseline],
         &config,

@@ -14,11 +14,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== lint: cargo fmt --check =="
-cargo fmt --check
+echo "== lint: cargo fmt --all --check =="
+cargo fmt --all --check
 
-echo "== lint: cargo clippy --all-targets -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== telemetry feature parity: build + tests with counters on =="
 cargo build -q --features telemetry

@@ -26,6 +26,7 @@ fn mini_study_runs_and_renders_all_tables() {
     let report = run_matrix(
         &frameworks,
         &inputs,
+        Scale::Tiny,
         &Kernel::ALL,
         &Mode::ALL,
         &config,
@@ -71,6 +72,8 @@ fn mini_study_runs_and_renders_all_tables() {
     assert!(render_table3(&frameworks).contains("FastSV"));
     assert!(report.table4().contains("TABLE IV"));
     assert!(report.table5().contains("TABLE V"));
+    assert_eq!(report.scale(), Scale::Tiny);
+    assert!(report.table4().contains("corpus scale tiny"));
 
     // CSV shape: header + one row per cell.
     let csv = report.to_csv();
