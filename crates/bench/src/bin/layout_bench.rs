@@ -43,6 +43,7 @@ use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::{Schedule, ThreadPool};
 use gapbs_ref::{bc, bfs, cc, depths_from_parents, pr, sssp, tc};
 use gapbs_telemetry::{Ledger, TrialRecord};
+use gapbs_verify::cc_labels;
 use std::time::Instant;
 
 /// Pool sizes crossing the parallel cutoffs from both sides (the same
@@ -118,19 +119,6 @@ struct SuiteOutputs {
     triangles: u64,
 }
 
-/// Relabels component ids to the smallest vertex in each component, so
-/// two label arrays compare equal iff they induce the same partition.
-fn canonical_partition(labels: &[NodeId]) -> Vec<NodeId> {
-    let mut smallest: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        smallest
-            .entry(l)
-            .and_modify(|m| *m = (*m).min(v as NodeId))
-            .or_insert(v as NodeId);
-    }
-    labels.iter().map(|l| smallest[l]).collect()
-}
-
 fn run_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool) -> SuiteOutputs {
     let pr_result = pr(g, pool);
     SuiteOutputs {
@@ -138,7 +126,7 @@ fn run_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool) ->
         sssp_dists: sssp(wg, 0, SSSP_DELTA, pool),
         pr_bits: pr_result.scores.iter().map(|s| s.to_bits()).collect(),
         pr_iterations: pr_result.iterations,
-        cc_canonical: canonical_partition(&cc(g, pool)),
+        cc_canonical: cc_labels(&cc(g, pool)),
         bc_bits: bc(g, &BC_SOURCES, pool)
             .iter()
             .map(|s| s.to_bits())

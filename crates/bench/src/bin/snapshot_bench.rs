@@ -1,32 +1,22 @@
-//! Snapshot-format gate: mmap cold-start vs full rebuild, plus
-//! compressed-adjacency correctness.
+//! Snapshot-format gate: mmap cold-start vs full rebuild, plus load
+//! identity.
 //!
 //! Two claims are measured and (optionally) gated:
 //!
 //! 1. **Cold-start speedup.** Every corpus member is built once from
 //!    the seeded generators (the pre-snapshot cold-start path: generate
 //!    edges, build both CSR directions, weighted companion, symmetrized
-//!    view, source candidates) and written twice: raw adjacency (the
-//!    zero-copy mmap arm) and the cache's [`Compression::Auto`] default
-//!    (the compact arm, which pays a decode on load). Each arm is
-//!    loaded `--reps` times; the gate is the geometric mean of the
-//!    per-graph `build/mmap-load` ratios — `--min-speedup 50` is how
+//!    view, source candidates), written as a snapshot, and mmap-loaded
+//!    `--reps` times. The gate is the geometric mean of the per-graph
+//!    `build/mmap-load` ratios — `--min-speedup 50` is how
 //!    `scripts/verify.sh` holds the "millisecond cold-start" claim.
-//!    The compact arm's load time and size ratio are reported beside
-//!    it so the compression tradeoff stays visible, but only the
-//!    zero-copy path is gated.
 //!
-//! 2. **Compressed-adjacency identity.** One symmetrized Kron graph is
-//!    written twice — raw and delta-varint — at both offset widths, and
-//!    BFS depths, PageRank score *bits*, and the triangle count from
-//!    every decompressed load must be bit-identical to the raw
-//!    1-thread reference across thread counts {1, 2, 7, 16}. The
-//!    streaming decoder is checked against the raw targets array for
-//!    every pool size too. Only after identity holds are timings
-//!    reported.
+//! 2. **Load identity.** One symmetrized Kron graph is written at both
+//!    offset widths, and every load must equal the built graph, with
+//!    BFS depths, PageRank score *bits*, and the triangle count
+//!    bit-identical to the 1-thread reference across thread counts
+//!    {1, 2, 7, 16}. Only after identity holds are timings reported.
 //!
-//! Per-graph compression ratios (stored/raw adjacency bytes, the
-//! [`Compression::Auto`] decision input) are printed for the record.
 //! `--ledger <path>` appends one JSONL record per (graph, arm) so
 //! `perf_compare` can diff cold-start behaviour across baselines
 //! (`results/baseline-snapshot.jsonl` is the committed reference).
@@ -40,7 +30,7 @@
 use gapbs_core::framework::BenchGraph;
 use gapbs_core::snapshot_cache::snapshot_path;
 use gapbs_graph::gen::{self, GraphSpec, Scale};
-use gapbs_graph::snapshot::{self, Compression, SnapshotContents};
+use gapbs_graph::snapshot::{self, SnapshotContents};
 use gapbs_graph::{Builder, Graph, OffsetIndex, Snapshot};
 use gapbs_parallel::ThreadPool;
 use gapbs_ref::{bfs, depths_from_parents, pr, tc};
@@ -112,11 +102,11 @@ fn parse_args() -> Args {
     args
 }
 
-/// Width-independent outputs of the three kernels the compressed path
-/// feeds (BFS: direction-optimizing traversal; PR: strip-scheduled pull
-/// over offsets; TC: oriented intersection). Floats are captured as raw
-/// bit patterns — the reference kernels are deterministic, so exact
-/// equality is the bar.
+/// Width-independent outputs of three kernels with different access
+/// patterns (BFS: direction-optimizing traversal; PR: strip-scheduled
+/// pull over offsets; TC: oriented intersection). Floats are captured
+/// as raw bit patterns — the reference kernels are deterministic, so
+/// exact equality is the bar.
 #[derive(PartialEq)]
 struct SuiteOutputs {
     bfs_depths: Vec<u32>,
@@ -132,50 +122,34 @@ fn run_suite<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> SuiteOutputs {
     }
 }
 
-/// Writes `graph` at the given compression, loads it back, and checks
-/// the decompressed loads (kernels + streaming decoder) against the raw
-/// reference across every pool size.
+/// Writes `graph`, loads it back, and checks the loads (graph equality
+/// + kernels) against the 1-thread reference across every pool size.
 fn identity_arm<O: OffsetIndex>(
     dir: &std::path::Path,
     graph: &Graph<O>,
     width: &str,
-    compression: Compression,
     reference: &SuiteOutputs,
 ) {
-    let enc = match compression {
-        Compression::Always => "varint",
-        _ => "raw",
-    };
-    let path = dir.join(format!("identity-{width}-{enc}.gsnap"));
+    let path = dir.join(format!("identity-{width}.gsnap"));
     let contents = SnapshotContents::graph_only(graph, 0);
-    let stats = snapshot::write(&path, &contents, compression).expect("write identity snapshot");
+    let stats = snapshot::write(&path, &contents).expect("write identity snapshot");
     let snap = Snapshot::open(&path).expect("open identity snapshot");
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
         let loaded: Graph<O> = snap.graph_in(Some(&pool)).expect("load identity snapshot");
         assert_eq!(
             &loaded, graph,
-            "{width}/{enc} @ {threads}T: loaded graph diverged from the built graph"
+            "{width} @ {threads}T: loaded graph diverged from the built graph"
         );
         let got = run_suite(&loaded, &pool);
         assert!(
             &got == reference,
-            "{width}/{enc} @ {threads}T: kernel outputs diverged from the raw 1-thread run"
+            "{width} @ {threads}T: kernel outputs diverged from the 1-thread run"
         );
-        if let Some(comp) = snap.compressed_out::<O>().expect("compressed view") {
-            let decoded = comp.decode_vec(Some(&pool)).expect("decode stream");
-            assert_eq!(
-                decoded,
-                graph.out_csr().targets_raw(),
-                "{width}/{enc} @ {threads}T: streamed decode diverged from raw targets"
-            );
-        }
     }
     println!(
-        "  {width:<5} {enc:<6}: identical across {THREAD_COUNTS:?} threads \
-         ({} file bytes, adjacency ratio {:.3})",
-        stats.file_bytes,
-        stats.adjacency_ratio()
+        "  {width:<5}: identical across {THREAD_COUNTS:?} threads ({} file bytes)",
+        stats.file_bytes
     );
     std::fs::remove_file(&path).ok();
 }
@@ -188,10 +162,9 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create snapshot dir");
     let pool = ThreadPool::new(args.threads);
 
-    // Stage 1: decompressed-vs-raw identity, both widths, all pools.
+    // Stage 1: load identity, both widths, all pools.
     println!(
-        "snapshot_bench: identity matrix (kron scale {}, widths {{u32, usize}}, \
-         encodings {{raw, varint}})",
+        "snapshot_bench: identity matrix (kron scale {}, widths {{u32, usize}})",
         args.identity_scale
     );
     let edges = gen::kron_edges(args.identity_scale, 16, GraphSpec::Kron.seed());
@@ -200,10 +173,8 @@ fn main() {
     let narrow: Graph<u32> = builder().build(edges.clone()).expect("in-range endpoints");
     let wide: Graph<usize> = builder().build_as(edges).expect("in-range endpoints");
     let reference = run_suite(&narrow, &ThreadPool::new(1));
-    identity_arm(&dir, &narrow, "u32", Compression::Never, &reference);
-    identity_arm(&dir, &narrow, "u32", Compression::Always, &reference);
-    identity_arm(&dir, &wide, "usize", Compression::Never, &reference);
-    identity_arm(&dir, &wide, "usize", Compression::Always, &reference);
+    identity_arm(&dir, &narrow, "u32", &reference);
+    identity_arm(&dir, &wide, "usize", &reference);
 
     // Stage 2: cold-start speedup over the corpus. Build once (that IS
     // the pre-snapshot cold start), then mmap-load best-of-reps.
@@ -225,31 +196,17 @@ fn main() {
         let t_build = start.elapsed().as_secs_f64();
         let path = snapshot_path(&dir, spec, args.scale);
 
-        // Compact arm: the cache default (Auto). Its per-graph ratio is
-        // the heuristic's decision record; its load pays a decode, so
-        // it is reported but not gated.
-        let auto_stats = built
+        // mmap arm: the zero-copy cold-start path the >=50x claim is
+        // about.
+        let stats = built
             .write_snapshot(&dir, args.scale)
             .expect("write snapshot");
-        let mut t_compact = f64::INFINITY;
-        for _ in 0..args.reps {
-            let start = Instant::now();
-            BenchGraph::from_snapshot_in(spec, args.scale, &path, &pool, false)
-                .expect("load compact snapshot");
-            t_compact = t_compact.min(start.elapsed().as_secs_f64());
-        }
-
-        // mmap arm: raw adjacency, the zero-copy cold-start path the
-        // >=50x claim is about. Same canonical path, overwritten.
-        let raw_stats = built
-            .write_snapshot_with(&dir, args.scale, Compression::Never)
-            .expect("write raw snapshot");
         let mut t_mmap = f64::INFINITY;
         let mut loaded = None;
         for _ in 0..args.reps {
             let start = Instant::now();
             let bg = BenchGraph::from_snapshot_in(spec, args.scale, &path, &pool, false)
-                .expect("load raw snapshot");
+                .expect("load snapshot");
             t_mmap = t_mmap.min(start.elapsed().as_secs_f64());
             loaded = Some(bg);
         }
@@ -264,17 +221,13 @@ fn main() {
         log_sum += speedup.ln();
         rows += 1;
         println!(
-            "  {spec:<8} build {t_build:>8.4}s  mmap {t_mmap:>9.6}s  {speedup:>8.1}x  \
-             | compact {t_compact:>9.6}s  ratio {:.3}  ({} vs {} B)",
-            auto_stats.adjacency_ratio(),
-            auto_stats.file_bytes,
-            raw_stats.file_bytes,
+            "  {spec:<8} build {t_build:>8.4}s  mmap {t_mmap:>9.6}s  {speedup:>8.1}x  ({} B)",
+            stats.file_bytes,
         );
         if let Some(ledger) = &ledger {
             let arms = [
                 ("rebuild", t_build, built.resident_bytes() as u64),
-                ("mmap", t_mmap, raw_stats.file_bytes),
-                ("compact", t_compact, auto_stats.file_bytes),
+                ("mmap", t_mmap, stats.file_bytes),
             ];
             for (mode, seconds, graph_bytes) in arms {
                 let record = TrialRecord {
@@ -300,7 +253,7 @@ fn main() {
     let geomean = (log_sum / rows as f64).exp();
     println!("  geomean cold-start speedup: {geomean:.1}x over {rows} graphs");
     if let Some(path) = &args.ledger {
-        eprintln!("ledger: appended {} records to {path}", rows * 3);
+        eprintln!("ledger: appended {} records to {path}", rows * 2);
     }
 
     if args.dir.is_none() {

@@ -22,8 +22,7 @@
 use crate::framework::BenchGraph;
 use gapbs_graph::gen::{GraphSpec, Scale};
 use gapbs_graph::snapshot::{
-    self, Compression, LoadOptions, SnapshotContents, WriteStats, FNV1A_OFFSET, FNV1A_PRIME,
-    FORMAT_VERSION,
+    self, LoadOptions, SnapshotContents, WriteStats, FNV1A_OFFSET, FNV1A_PRIME, FORMAT_VERSION,
 };
 use gapbs_graph::{GraphError, Snapshot, SnapshotError};
 use gapbs_parallel::ThreadPool;
@@ -72,20 +71,8 @@ pub fn snapshot_path(dir: &Path, spec: GraphSpec, scale: Scale) -> PathBuf {
 
 impl BenchGraph {
     /// Writes this prepared input as a snapshot at the canonical path
-    /// under `dir`, returning the per-section size accounting. The
-    /// cache always uses [`Compression::Auto`]; `snapshot_bench` pins
-    /// the encoding to time the two arms separately.
+    /// under `dir`, returning the file size.
     pub fn write_snapshot(&self, dir: &Path, scale: Scale) -> Result<WriteStats, GraphError> {
-        self.write_snapshot_with(dir, scale, Compression::Auto)
-    }
-
-    /// [`Self::write_snapshot`] with an explicit adjacency encoding.
-    pub fn write_snapshot_with(
-        &self,
-        dir: &Path,
-        scale: Scale,
-        compression: Compression,
-    ) -> Result<WriteStats, GraphError> {
         let contents = SnapshotContents {
             graph: &self.graph,
             wgraph: Some(&self.wgraph),
@@ -98,11 +85,7 @@ impl BenchGraph {
             delta: self.delta,
             params_hash: params_hash(self.spec, scale),
         };
-        snapshot::write(
-            &snapshot_path(dir, self.spec, scale),
-            &contents,
-            compression,
-        )
+        snapshot::write(&snapshot_path(dir, self.spec, scale), &contents)
     }
 
     /// Loads a prepared input from a snapshot file, verifying the

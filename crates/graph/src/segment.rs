@@ -1,7 +1,5 @@
 //! Backing storage for CSR arrays: owned vectors, or borrowed views
-//! into a reference-counted region (an mmap'ed snapshot file, or a
-//! decoded buffer shared between the weighted and unweighted forms of
-//! one graph).
+//! into a reference-counted region (an mmap'ed snapshot file).
 //!
 //! Every accessor on [`crate::CsrGraph`] returns plain slices, so the
 //! kernels never see the distinction; the point of [`Segment`] is that
@@ -21,10 +19,8 @@ use std::sync::Arc;
 /// properties.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
-unsafe impl Pod for u8 {}
 unsafe impl Pod for u32 {}
 unsafe impl Pod for i32 {}
-unsafe impl Pod for u64 {}
 unsafe impl Pod for usize {}
 
 /// Reinterprets a typed slice as its underlying bytes.
@@ -202,7 +198,7 @@ impl std::fmt::Debug for MapRegion {
 }
 
 /// A read-only typed array that is either owned (builder output) or a
-/// view into a shared region (snapshot load, shared decode buffer).
+/// view into a shared region (snapshot load).
 /// Dereferences to `&[T]`; equality, ordering and hashing follow the
 /// slice contents regardless of backing.
 pub struct Segment<T: Pod> {
@@ -214,9 +210,9 @@ enum Repr<T: Pod> {
     View {
         ptr: *const T,
         len: usize,
-        /// Keeps the backing storage (a [`MapRegion`] or a shared
-        /// `Vec`) alive for as long as this view exists.
-        _owner: Arc<dyn std::any::Any + Send + Sync>,
+        /// Keeps the backing region alive for as long as this view
+        /// exists.
+        _owner: Arc<MapRegion>,
     },
 }
 
@@ -229,20 +225,6 @@ impl<T: Pod> Segment<T> {
     pub fn from_vec(v: Vec<T>) -> Segment<T> {
         Segment {
             repr: Repr::Owned(v),
-        }
-    }
-
-    /// A cheap view of a shared vector (used to share one decoded
-    /// target array between a graph and its weighted companion).
-    pub fn from_shared_vec(v: Arc<Vec<T>>) -> Segment<T> {
-        let ptr = v.as_ptr();
-        let len = v.len();
-        Segment {
-            repr: Repr::View {
-                ptr,
-                len,
-                _owner: v,
-            },
         }
     }
 
@@ -268,7 +250,7 @@ impl<T: Pod> Segment<T> {
             repr: Repr::View {
                 ptr: ptr as *const T,
                 len,
-                _owner: Arc::clone(region) as Arc<dyn std::any::Any + Send + Sync>,
+                _owner: Arc::clone(region),
             },
         })
     }
@@ -362,16 +344,6 @@ mod tests {
         assert!(!s.is_view());
         let c = s.clone();
         assert_eq!(s, c);
-    }
-
-    #[test]
-    fn shared_vec_views_alias_without_copying() {
-        let v = Arc::new(vec![7u32, 8, 9]);
-        let a = Segment::from_shared_vec(Arc::clone(&v));
-        let b = a.clone();
-        assert!(a.is_view() && b.is_view());
-        assert_eq!(a.as_ptr(), b.as_ptr(), "clones alias the same storage");
-        assert_eq!(&b[..], &[7, 8, 9]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! layout so a later process maps the file and serves the arrays
 //! straight out of the page cache — zero copies, millisecond loads.
 //!
-//! # File layout (format version 2, little-endian)
+//! # File layout (format version 3, little-endian)
 //!
 //! ```text
 //! offset  size  field
@@ -29,34 +29,25 @@
 //! ```
 //!
 //! Each section-table row is `kind (u32), encoding (u32), file offset
-//! (u64), byte length (u64), checksum (u64)`. Checksums are FNV-1a over
-//! 64-bit little-endian words (trailing bytes folded individually) —
-//! one linear pass at load catches any single-byte corruption.
+//! (u64), byte length (u64), checksum (u64)`. The only encoding is 0
+//! (raw): every section is the array's exact in-memory image, so a load
+//! is a typed view into the mapping, never a decode. An open rejects
+//! any other encoding value. Checksums are FNV-1a over 64-bit
+//! little-endian words (trailing bytes folded individually) — one
+//! linear pass at load catches any single-byte corruption.
 //!
 //! Loads verify the header and every section checksum, then hand out
 //! [`crate::Segment`] views into the mapping: no O(V+E) per-row
 //! semantic validation and no copies. Memory safety never rests on the
 //! checksums alone, though — every load also runs the cheap structural
 //! checks that unsafe downstream code depends on (offset arrays
-//! monotone and bounded, raw targets in `[0, n)`), so a
+//! monotone and bounded, targets in `[0, n)`), so a
 //! checksum-consistent but malformed file fails with a structured
-//! error instead of reaching kernels or the parallel decoder. Paranoid
-//! loads (`LoadOptions::paranoid`) additionally re-run the full CSR
-//! invariant sweep that [`crate::CsrGraph::from_parts`] performs
-//! (sorted duplicate-free rows), surfacing violations as
+//! error instead of reaching kernels. Paranoid loads
+//! (`LoadOptions::paranoid`) additionally re-run the full CSR invariant
+//! sweep that [`crate::CsrGraph::from_parts`] performs (sorted
+//! duplicate-free rows), surfacing violations as
 //! [`SnapshotError::Invalid`].
-//!
-//! # Compressed adjacency
-//!
-//! A target section may instead store encoding 1: a `(n+1) × u64` row
-//! byte-index followed by a per-row delta + LEB128 varint stream (first
-//! neighbor absolute, then `gap − 1` per successor — rows are sorted
-//! and duplicate-free, so every gap is ≥ 1). The writer measures both
-//! encodings and keeps the compressed form when it beats raw by the
-//! [`COMPRESS_THRESHOLD`] margin ([`Compression::Auto`]). Compressed
-//! rows decode through [`CompressedCsr`]'s streaming iterator (pull
-//! kernels, [`crate::Strips::pull_compressed`]) or in one parallel pass
-//! into an owned CSR that is bit-identical to the builder's.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -66,7 +57,7 @@ use crate::error::{GraphError, SnapshotError};
 use crate::graph::{Graph, WGraph};
 use crate::segment::{as_bytes, MapRegion, Pod, Segment};
 use crate::types::{NodeId, OffsetIndex, Weight};
-use gapbs_parallel::{Schedule, SharedSlice, ThreadPool};
+use gapbs_parallel::ThreadPool;
 
 /// File magic: "GAPSNAP" plus a non-text byte so `file`/editors never
 /// mistake a snapshot for text.
@@ -74,17 +65,14 @@ pub const MAGIC: [u8; 8] = *b"GAPSNAP\x01";
 
 /// Format version this build reads and writes. Version 2 switched the
 /// section checksums to the canonical FNV-1a 64-bit prime (v1 used a
-/// non-standard constant); snapshots are a cache, so v1 files are
-/// simply rebuilt.
-pub const FORMAT_VERSION: u16 = 2;
+/// non-standard constant); version 3 dropped the delta-varint target
+/// encoding, so every section is raw. Snapshots are a cache, so older
+/// files are simply rebuilt.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Every section starts on a 64-byte boundary (cache line; also
 /// satisfies every element alignment the format uses).
 pub const SECTION_ALIGN: u64 = 64;
-
-/// Auto compression keeps the varint form only when it is at least
-/// this much smaller than raw (stored < raw × 0.9).
-pub const COMPRESS_THRESHOLD: f64 = 0.9;
 
 const HEADER_BYTES: usize = 64;
 const SECTION_ROW_BYTES: usize = 32;
@@ -100,8 +88,8 @@ const FLAG_WEIGHTED: u8 = 2;
 const FLAG_SYM: u8 = 4;
 const FLAG_CANDIDATES: u8 = 8;
 
+/// The only section encoding: the array's in-memory bytes.
 const ENC_RAW: u32 = 0;
-const ENC_DELTA_VARINT: u32 = 1;
 
 /// Section kinds. The out direction is the graph's stored adjacency;
 /// in-sections exist only for directed graphs; sym-sections hold the
@@ -160,109 +148,7 @@ pub fn section_checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-// ─────────────────────────── varint codec ───────────────────────────
-
-fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Reads one LEB128 varint at `pos`; `None` on truncation or a value
-/// that overflows 64 bits.
-fn read_varint(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    let mut used = 0usize;
-    loop {
-        let byte = *bytes.get(pos + used)?;
-        used += 1;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some((v, used));
-        }
-        shift += 7;
-    }
-}
-
-/// Delta + LEB128 encodes sorted duplicate-free rows. Returns the
-/// payload: `(n+1) × u64` row byte starts, then the stream.
-fn encode_targets<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) -> Vec<u8> {
-    let n = offsets.len() - 1;
-    let mut stream = Vec::with_capacity(targets.len() * 2);
-    let mut row_starts = Vec::with_capacity(n + 1);
-    row_starts.push(0u64);
-    for u in 0..n {
-        let row = &targets[offsets[u].to_usize()..offsets[u + 1].to_usize()];
-        let mut prev = 0u64;
-        for (i, &v) in row.iter().enumerate() {
-            let v = u64::from(v);
-            if i == 0 {
-                write_varint(&mut stream, v);
-            } else {
-                write_varint(&mut stream, v - prev - 1);
-            }
-            prev = v;
-        }
-        row_starts.push(stream.len() as u64);
-    }
-    let mut payload = Vec::with_capacity((n + 1) * 8 + stream.len());
-    for &s in &row_starts {
-        payload.extend_from_slice(&s.to_le_bytes());
-    }
-    payload.extend_from_slice(&stream);
-    payload
-}
-
-/// Decodes one row's varint bytes into `out`. `n` bounds the targets.
-/// Returns `false` on truncation, overflow, out-of-range or unsorted
-/// values, or leftover bytes.
-fn decode_row(bytes: &[u8], out: &mut [NodeId], n: usize) -> bool {
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let Some((raw, used)) = read_varint(bytes, pos) else {
-            return false;
-        };
-        pos += used;
-        let Some(val) = (if i == 0 {
-            Some(raw)
-        } else {
-            prev.checked_add(1).and_then(|p| p.checked_add(raw))
-        }) else {
-            return false;
-        };
-        if val >= n as u64 {
-            return false;
-        }
-        *slot = val as NodeId;
-        prev = val;
-    }
-    pos == bytes.len()
-}
-
 // ──────────────────────────── writing ───────────────────────────────
-
-/// Per-target-section encoding policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Compression {
-    /// Measure both encodings, keep varint only when it beats raw by
-    /// [`COMPRESS_THRESHOLD`].
-    Auto,
-    /// Always store raw targets (maximum load speed, zero copies).
-    Never,
-    /// Always store the varint form (for tests and size experiments).
-    Always,
-}
 
 /// Everything one snapshot stores. `graph` is required; the other
 /// structures make the file a full [`SnapshotBundle`] a benchmark
@@ -299,116 +185,24 @@ impl<'a, O: OffsetIndex> SnapshotContents<'a, O> {
     }
 }
 
-/// One written section's size accounting.
-#[derive(Debug, Clone)]
-pub struct SectionStats {
-    /// Section name.
-    pub name: &'static str,
-    /// `"raw"` or `"delta-varint"`.
-    pub encoding: &'static str,
-    /// Bytes the raw encoding would use.
-    pub raw_bytes: u64,
-    /// Bytes actually stored.
-    pub stored_bytes: u64,
-}
-
 /// What [`write`] produced.
 #[derive(Debug, Clone)]
 pub struct WriteStats {
     /// Total file size.
     pub file_bytes: u64,
-    /// Per-section accounting.
-    pub sections: Vec<SectionStats>,
-}
-
-impl WriteStats {
-    /// Stored ÷ raw bytes over the adjacency (target) sections — the
-    /// per-graph compression ratio `snapshot_bench` reports. 1.0 when
-    /// every target section is raw.
-    pub fn adjacency_ratio(&self) -> f64 {
-        let (mut raw, mut stored) = (0u64, 0u64);
-        for s in &self.sections {
-            if s.name.ends_with("targets") {
-                raw += s.raw_bytes;
-                stored += s.stored_bytes;
-            }
-        }
-        if raw == 0 {
-            1.0
-        } else {
-            stored as f64 / raw as f64
-        }
-    }
-}
-
-enum Payload<'a> {
-    Borrowed(&'a [u8]),
-    Owned(Vec<u8>),
-}
-
-impl Payload<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Payload::Borrowed(b) => b,
-            Payload::Owned(v) => v,
-        }
-    }
 }
 
 /// Appends one CSR direction (offsets section + targets section) to the
-/// section list, choosing the target encoding per `compression`. The
-/// raw byte images are the arrays' exact in-memory layout — that is
-/// what makes the later mmap reinterpretation sound.
+/// section list. The byte images are the arrays' exact in-memory
+/// layout — that is what makes the later mmap reinterpretation sound.
 fn push_csr<'a, O: OffsetIndex>(
-    sections: &mut Vec<(SectionKind, u32, Payload<'a>)>,
-    stats: &mut Vec<SectionStats>,
+    sections: &mut Vec<(SectionKind, &'a [u8])>,
     off_kind: SectionKind,
     tgt_kind: SectionKind,
     csr: &'a CsrGraph<O>,
-    compression: Compression,
 ) {
-    let off_bytes = as_bytes(csr.offsets_raw());
-    sections.push((off_kind, ENC_RAW, Payload::Borrowed(off_bytes)));
-    stats.push(SectionStats {
-        name: off_kind.name(),
-        encoding: "raw",
-        raw_bytes: off_bytes.len() as u64,
-        stored_bytes: off_bytes.len() as u64,
-    });
-
-    let raw = as_bytes(csr.targets_raw());
-    let compressed = match compression {
-        Compression::Never => None,
-        Compression::Always => Some(encode_targets(csr.offsets_raw(), csr.targets_raw())),
-        Compression::Auto => {
-            let enc = encode_targets(csr.offsets_raw(), csr.targets_raw());
-            if !raw.is_empty() && (enc.len() as f64) < raw.len() as f64 * COMPRESS_THRESHOLD {
-                Some(enc)
-            } else {
-                None
-            }
-        }
-    };
-    match compressed {
-        Some(enc) => {
-            stats.push(SectionStats {
-                name: tgt_kind.name(),
-                encoding: "delta-varint",
-                raw_bytes: raw.len() as u64,
-                stored_bytes: enc.len() as u64,
-            });
-            sections.push((tgt_kind, ENC_DELTA_VARINT, Payload::Owned(enc)));
-        }
-        None => {
-            stats.push(SectionStats {
-                name: tgt_kind.name(),
-                encoding: "raw",
-                raw_bytes: raw.len() as u64,
-                stored_bytes: raw.len() as u64,
-            });
-            sections.push((tgt_kind, ENC_RAW, Payload::Borrowed(raw)));
-        }
-    }
+    sections.push((off_kind, as_bytes(csr.offsets_raw())));
+    sections.push((tgt_kind, as_bytes(csr.targets_raw())));
 }
 
 fn invalid(message: impl Into<String>) -> GraphError {
@@ -418,12 +212,10 @@ fn invalid(message: impl Into<String>) -> GraphError {
 }
 
 /// Writes a snapshot of `contents` to `path` (atomically: a temp file
-/// in the same directory is renamed into place). Returns per-section
-/// size accounting.
+/// in the same directory is renamed into place). Returns the file size.
 pub fn write<O: OffsetIndex>(
     path: &Path,
     contents: &SnapshotContents<'_, O>,
-    compression: Compression,
 ) -> Result<WriteStats, GraphError> {
     let graph = contents.graph;
     let n = graph.num_vertices();
@@ -469,78 +261,50 @@ pub fn write<O: OffsetIndex>(
     }
 
     // Assemble sections in kind order.
-    let mut sections: Vec<(SectionKind, u32, Payload<'_>)> = Vec::new();
-    let mut stats = Vec::new();
-
+    let mut sections: Vec<(SectionKind, &[u8])> = Vec::new();
     push_csr(
         &mut sections,
-        &mut stats,
         SectionKind::OutOffsets,
         SectionKind::OutTargets,
         graph.out_csr(),
-        compression,
     );
     if let Some(wg) = contents.wgraph {
-        let b = as_bytes(wg.out_wcsr().weights_raw());
-        stats.push(SectionStats {
-            name: SectionKind::OutWeights.name(),
-            encoding: "raw",
-            raw_bytes: b.len() as u64,
-            stored_bytes: b.len() as u64,
-        });
-        sections.push((SectionKind::OutWeights, ENC_RAW, Payload::Borrowed(b)));
+        sections.push((
+            SectionKind::OutWeights,
+            as_bytes(wg.out_wcsr().weights_raw()),
+        ));
     }
     if graph.is_directed() {
         push_csr(
             &mut sections,
-            &mut stats,
             SectionKind::InOffsets,
             SectionKind::InTargets,
             graph.in_csr(),
-            compression,
         );
         if let Some(wg) = contents.wgraph {
-            let b = as_bytes(wg.in_wcsr().weights_raw());
-            stats.push(SectionStats {
-                name: SectionKind::InWeights.name(),
-                encoding: "raw",
-                raw_bytes: b.len() as u64,
-                stored_bytes: b.len() as u64,
-            });
-            sections.push((SectionKind::InWeights, ENC_RAW, Payload::Borrowed(b)));
+            sections.push((SectionKind::InWeights, as_bytes(wg.in_wcsr().weights_raw())));
         }
     }
     if let Some(sym) = contents.sym_graph {
         push_csr(
             &mut sections,
-            &mut stats,
             SectionKind::SymOffsets,
             SectionKind::SymTargets,
             sym.out_csr(),
-            compression,
         );
     }
     if let Some(cands) = contents.source_candidates {
-        let b = as_bytes(cands);
-        stats.push(SectionStats {
-            name: SectionKind::SourceCandidates.name(),
-            encoding: "raw",
-            raw_bytes: b.len() as u64,
-            stored_bytes: b.len() as u64,
-        });
-        sections.push((SectionKind::SourceCandidates, ENC_RAW, Payload::Borrowed(b)));
+        sections.push((SectionKind::SourceCandidates, as_bytes(cands)));
     }
 
     // Lay out: header, table, 64-byte-aligned sections.
     let table_bytes = sections.len() * SECTION_ROW_BYTES;
     let mut cursor = (HEADER_BYTES + table_bytes) as u64;
     let mut rows = Vec::with_capacity(sections.len());
-    for (kind, encoding, payload) in &sections {
+    for (kind, bytes) in &sections {
         cursor = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-        let bytes = payload.bytes();
         rows.push((
             *kind as u32,
-            *encoding,
             cursor,
             bytes.len() as u64,
             section_checksum(bytes),
@@ -561,9 +325,9 @@ pub fn write<O: OffsetIndex>(
     header[40..48].copy_from_slice(&contents.params_hash.to_le_bytes());
 
     let mut table = Vec::with_capacity(table_bytes);
-    for (kind, encoding, off, len, sum) in &rows {
+    for (kind, off, len, sum) in &rows {
         table.extend_from_slice(&kind.to_le_bytes());
-        table.extend_from_slice(&encoding.to_le_bytes());
+        table.extend_from_slice(&ENC_RAW.to_le_bytes());
         table.extend_from_slice(&off.to_le_bytes());
         table.extend_from_slice(&len.to_le_bytes());
         table.extend_from_slice(&sum.to_le_bytes());
@@ -597,11 +361,11 @@ pub fn write<O: OffsetIndex>(
         out.write_all(&header)?;
         out.write_all(&table)?;
         let mut pos = (HEADER_BYTES + table_bytes) as u64;
-        for ((_, _, off, _, _), (_, _, payload)) in rows.iter().zip(&sections) {
+        for ((_, off, len, _), (_, payload)) in rows.iter().zip(&sections) {
             let pad = off - pos;
             out.write_all(&vec![0u8; pad as usize])?;
-            out.write_all(payload.bytes())?;
-            pos = off + payload.bytes().len() as u64;
+            out.write_all(payload)?;
+            pos = off + len;
         }
         out.flush()?;
         std::fs::rename(&tmp, path)?;
@@ -612,10 +376,7 @@ pub fn write<O: OffsetIndex>(
         return Err(e);
     }
 
-    Ok(WriteStats {
-        file_bytes,
-        sections: stats,
-    })
+    Ok(WriteStats { file_bytes })
 }
 
 // ──────────────────────────── loading ───────────────────────────────
@@ -647,7 +408,7 @@ struct RawSection {
 pub struct SectionInfo {
     /// Section name (`"out_targets"`, ...).
     pub name: &'static str,
-    /// `"raw"` or `"delta-varint"`.
+    /// Always `"raw"`: an open rejects every other encoding.
     pub encoding: &'static str,
     /// Stored bytes.
     pub bytes: u64,
@@ -656,8 +417,7 @@ pub struct SectionInfo {
 }
 
 /// An opened, checksum-verified snapshot. Accessors hand out zero-copy
-/// graphs borrowing the mapping (raw sections) or decode compressed
-/// sections into owned, bit-identical arrays.
+/// graphs borrowing the mapping.
 pub struct Snapshot {
     region: Arc<MapRegion>,
     version: u16,
@@ -783,6 +543,15 @@ impl Snapshot {
                 len: u64::from_le_bytes(row[16..24].try_into().expect("8 bytes")),
                 checksum: u64::from_le_bytes(row[24..32].try_into().expect("8 bytes")),
             };
+            if sec.encoding != ENC_RAW {
+                return err(SnapshotError::Malformed {
+                    message: format!(
+                        "section {} has unknown encoding {}",
+                        kind_name(sec.kind),
+                        sec.encoding
+                    ),
+                });
+            }
             if !sec.off.is_multiple_of(SECTION_ALIGN) {
                 return err(SnapshotError::Malformed {
                     message: format!("section {} misaligned at offset {}", sec.kind, sec.off),
@@ -892,11 +661,7 @@ impl Snapshot {
             .iter()
             .map(|s| SectionInfo {
                 name: kind_name(s.kind),
-                encoding: if s.encoding == ENC_DELTA_VARINT {
-                    "delta-varint"
-                } else {
-                    "raw"
-                },
+                encoding: "raw",
                 bytes: s.len,
                 checksum: s.checksum,
             })
@@ -955,11 +720,10 @@ impl Snapshot {
     ///
     /// Always verifies the array is monotone (O(V), even on
     /// non-paranoid loads): downstream code — `degree()` subtraction,
-    /// row slicing, and the parallel decoder's disjoint
-    /// `SharedSlice::range_mut` writes — relies on `offsets[u] <=
-    /// offsets[u + 1] <= offsets[n]`, so a checksum-consistent but
-    /// malformed file must fail here, not underflow or write out of
-    /// bounds later.
+    /// row slicing, and kernels that partition rows for disjoint
+    /// writes — relies on `offsets[u] <= offsets[u + 1] <= offsets[n]`,
+    /// so a checksum-consistent but malformed file must fail here, not
+    /// underflow or write out of bounds later.
     fn load_offsets<O: OffsetIndex>(
         &self,
         kind: SectionKind,
@@ -991,146 +755,58 @@ impl Snapshot {
         Ok((offs, last))
     }
 
-    /// Loads one adjacency direction: zero-copy for raw targets, a
-    /// validated parallel decode for delta-varint targets.
+    /// Loads one adjacency direction as zero-copy views.
     fn load_csr<O: OffsetIndex>(
         &self,
         off_kind: SectionKind,
         tgt_kind: SectionKind,
         expect_arcs: Option<u64>,
-        pool: Option<&ThreadPool>,
     ) -> Result<(CsrGraph<O>, Segment<NodeId>), GraphError> {
         let (offs, m) = self.load_offsets::<O>(off_kind, expect_arcs)?;
-        let sec = self.find(tgt_kind)?;
-        let targets: Segment<NodeId> = if sec.encoding == ENC_DELTA_VARINT {
-            let comp = self.compressed_from(sec, &offs, m)?;
-            let decoded = Arc::new(comp.decode_vec(pool).map_err(GraphError::Snapshot)?);
-            Segment::from_shared_vec(decoded)
+        let targets = self.typed::<NodeId>(self.find(tgt_kind)?, m)?;
+        if self.paranoid {
+            if let Err(message) = check_parts(&offs, &targets) {
+                return err(SnapshotError::Invalid { message });
+            }
         } else {
-            // Raw targets skip the per-row decode validation, so range
-            // check them here even on non-paranoid loads: kernels index
+            // Range check targets even on default loads: kernels index
             // (and some unsafely write) arrays by target id, and an
             // out-of-range id from a checksum-consistent file must be a
             // structured error, not an out-of-bounds access. One O(E)
             // pass, same order as the checksum scan the load already
             // paid; row sortedness stays behind the paranoid flag.
-            let t = self.typed::<NodeId>(sec, m)?;
-            if !self.paranoid {
-                let n = self.num_vertices;
-                if let Some(&bad) = t.iter().find(|&&v| v as usize >= n) {
-                    return err(SnapshotError::Malformed {
-                        message: format!(
-                            "section {} target {bad} out of range for {n} vertices",
-                            tgt_kind.name()
-                        ),
-                    });
-                }
-            }
-            t
-        };
-        if self.paranoid {
-            if let Err(message) = check_parts(&offs, &targets) {
-                return err(SnapshotError::Invalid { message });
+            let n = self.num_vertices;
+            if let Some(&bad) = targets.iter().find(|&&v| v as usize >= n) {
+                return err(SnapshotError::Malformed {
+                    message: format!(
+                        "section {} target {bad} out of range for {n} vertices",
+                        tgt_kind.name()
+                    ),
+                });
             }
         }
         let shared = targets.clone();
         Ok((CsrGraph::from_segments_unchecked(offs, targets), shared))
     }
 
-    fn compressed_from<O: OffsetIndex>(
-        &self,
-        sec: &RawSection,
-        offs: &Segment<O>,
-        m: usize,
-    ) -> Result<CompressedCsr<O>, GraphError> {
-        let n = self.num_vertices;
-        let index_bytes = (n as u64 + 1) * 8;
-        if sec.len < index_bytes {
-            return err(SnapshotError::Malformed {
-                message: format!(
-                    "compressed section {} too short for its row index",
-                    kind_name(sec.kind)
-                ),
-            });
-        }
-        let row_starts: Segment<u64> = Segment::from_region(&self.region, sec.off as usize, n + 1)
-            .ok_or(GraphError::Snapshot(SnapshotError::Malformed {
-                message: "compressed row index misaligned".to_string(),
-            }))?;
-        let stream_len = (sec.len - index_bytes) as usize;
-        let stream: Segment<u8> = Segment::from_region(
-            &self.region,
-            sec.off as usize + index_bytes as usize,
-            stream_len,
-        )
-        .ok_or(GraphError::Snapshot(SnapshotError::Malformed {
-            message: "compressed stream out of bounds".to_string(),
-        }))?;
-        if row_starts.first().copied() != Some(0)
-            || row_starts.last().copied() != Some(stream_len as u64)
-        {
-            return err(SnapshotError::Malformed {
-                message: format!(
-                    "compressed section {} row index does not tile its stream",
-                    kind_name(sec.kind)
-                ),
-            });
-        }
-        Ok(CompressedCsr {
-            offsets: offs.clone(),
-            row_starts,
-            stream,
-            num_edges: m,
-        })
-    }
-
-    /// The streaming view of the out-direction adjacency, or `None`
-    /// when it is stored raw.
-    pub fn compressed_out<O: OffsetIndex>(&self) -> Result<Option<CompressedCsr<O>>, GraphError> {
-        self.check_width::<O>()?;
-        let sec = *self.find(SectionKind::OutTargets)?;
-        if sec.encoding != ENC_DELTA_VARINT {
-            return Ok(None);
-        }
-        let (offs, m) = self.load_offsets::<O>(SectionKind::OutOffsets, Some(self.num_arcs))?;
-        self.compressed_from(&sec, &offs, m).map(Some)
-    }
-
-    /// The streaming view of the in-direction adjacency (pull kernels),
-    /// or `None` when it is stored raw. For undirected graphs this is
-    /// the out-direction view.
-    pub fn compressed_in<O: OffsetIndex>(&self) -> Result<Option<CompressedCsr<O>>, GraphError> {
-        if !self.is_directed() {
-            return self.compressed_out::<O>();
-        }
-        self.check_width::<O>()?;
-        let sec = *self.find(SectionKind::InTargets)?;
-        if sec.encoding != ENC_DELTA_VARINT {
-            return Ok(None);
-        }
-        let (offs, m) = self.load_offsets::<O>(SectionKind::InOffsets, Some(self.num_arcs))?;
-        self.compressed_from(&sec, &offs, m).map(Some)
-    }
-
-    /// Loads the graph: zero-copy views for raw sections, validated
-    /// decode for compressed ones. `pool` parallelizes the decode.
+    /// Loads the graph as zero-copy views into the mapping. Sections
+    /// are stored raw, so there is nothing to decode and `pool` is
+    /// unused.
     pub fn graph_in<O: OffsetIndex>(
         &self,
-        pool: Option<&ThreadPool>,
+        _pool: Option<&ThreadPool>,
     ) -> Result<Graph<O>, GraphError> {
         self.check_width::<O>()?;
         let (out, _) = self.load_csr::<O>(
             SectionKind::OutOffsets,
             SectionKind::OutTargets,
             Some(self.num_arcs),
-            pool,
         )?;
         if self.is_directed() {
             let (inc, _) = self.load_csr::<O>(
                 SectionKind::InOffsets,
                 SectionKind::InTargets,
                 Some(self.num_arcs),
-                pool,
             )?;
             Ok(Graph::directed(out, inc))
         } else {
@@ -1138,7 +814,7 @@ impl Snapshot {
         }
     }
 
-    /// [`Snapshot::graph_in`] with a serial decode.
+    /// [`Snapshot::graph_in`] without a pool.
     pub fn graph<O: OffsetIndex>(&self) -> Result<Graph<O>, GraphError> {
         self.graph_in(None)
     }
@@ -1163,10 +839,10 @@ impl Snapshot {
 
     /// Loads the full benchmark bundle: graph, weighted companion
     /// (sharing the graph's target storage), symmetrized view, source
-    /// candidates and Δ.
+    /// candidates and Δ. Like [`Snapshot::graph_in`], `pool` is unused.
     pub fn bundle_in<O: OffsetIndex>(
         &self,
-        pool: Option<&ThreadPool>,
+        _pool: Option<&ThreadPool>,
     ) -> Result<SnapshotBundle<O>, GraphError> {
         self.check_width::<O>()?;
         if !self.has_weights() {
@@ -1184,7 +860,6 @@ impl Snapshot {
             SectionKind::OutOffsets,
             SectionKind::OutTargets,
             Some(self.num_arcs),
-            pool,
         )?;
         let m = out.num_edges();
         let out_weights: Segment<Weight> = self.typed(self.find(SectionKind::OutWeights)?, m)?;
@@ -1200,7 +875,6 @@ impl Snapshot {
                 SectionKind::InOffsets,
                 SectionKind::InTargets,
                 Some(self.num_arcs),
-                pool,
             )?;
             let in_weights: Segment<Weight> = self.typed(self.find(SectionKind::InWeights)?, m)?;
             let w_in = WCsrGraph::from_segments(
@@ -1213,7 +887,7 @@ impl Snapshot {
                 });
             }
             let (sym, _) =
-                self.load_csr::<O>(SectionKind::SymOffsets, SectionKind::SymTargets, None, pool)?;
+                self.load_csr::<O>(SectionKind::SymOffsets, SectionKind::SymTargets, None)?;
             (
                 Graph::directed(out, inc),
                 WGraph::directed(w_out, w_in),
@@ -1265,184 +939,12 @@ pub struct SnapshotBundle<O: OffsetIndex = u32> {
     pub delta: Weight,
 }
 
-// ─────────────────────── compressed adjacency ───────────────────────
-
-/// A delta + LEB128 compressed adjacency, decodable row-by-row.
-///
-/// `offsets` are the ordinary element offsets (so [`crate::Strips`]
-/// partitions compressed and raw adjacency identically); `row_starts`
-/// index the varint stream by byte. The streaming [`CompressedCsr::row`]
-/// iterator is bounds-safe on arbitrary bytes (it stops early rather
-/// than reading out of range); [`CompressedCsr::decode_vec`] fully
-/// validates while decoding and is the path graph loads take.
-#[derive(Debug, Clone)]
-pub struct CompressedCsr<O: OffsetIndex = u32> {
-    offsets: Segment<O>,
-    row_starts: Segment<u64>,
-    stream: Segment<u8>,
-    num_edges: usize,
-}
-
-impl<O: OffsetIndex> CompressedCsr<O> {
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of stored arcs.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Degree of `u`.
-    #[inline]
-    pub fn degree(&self, u: NodeId) -> usize {
-        let u = u as usize;
-        self.offsets[u + 1].to_usize() - self.offsets[u].to_usize()
-    }
-
-    /// The element offsets array (length `num_vertices() + 1`) — the
-    /// same shape as [`CsrGraph::offsets_raw`], so strip partitioning
-    /// is identical for compressed and raw storage.
-    pub fn offsets_raw(&self) -> &[O] {
-        &self.offsets
-    }
-
-    /// Compressed stream bytes (for size reporting).
-    pub fn stream_bytes(&self) -> usize {
-        self.stream.len()
-    }
-
-    /// Streams the sorted neighbors of `u` without materializing the
-    /// row. Malformed bytes terminate the iterator early instead of
-    /// panicking; fully validated decoding is [`Self::decode_vec`].
-    #[inline]
-    pub fn row(&self, u: NodeId) -> RowIter<'_> {
-        let u = u as usize;
-        let lo = self.row_starts[u] as usize;
-        let hi = self.row_starts[u + 1] as usize;
-        let bytes = self.stream.get(lo..hi).unwrap_or(&[]);
-        RowIter {
-            bytes,
-            pos: 0,
-            remaining: self.degree(u as NodeId),
-            prev: 0,
-            first: true,
-        }
-    }
-
-    /// Decodes every row into a flat target array, validating varint
-    /// framing, sortedness and target range as it goes. Parallel over
-    /// rows when `pool` is given; the output is bit-identical either
-    /// way.
-    pub fn decode_vec(&self, pool: Option<&ThreadPool>) -> Result<Vec<NodeId>, SnapshotError> {
-        let n = self.num_vertices();
-        let m = self.num_edges;
-        if self.offsets.last().map_or(0, |o| o.to_usize()) != m {
-            return Err(SnapshotError::Malformed {
-                message: "compressed offsets do not cover the arc count".to_string(),
-            });
-        }
-        // The loader already validated monotonicity, but the unsafe
-        // disjoint-write below must not depend on callers: re-check
-        // here (O(V)) so `range_mut(lo, hi)` always sees
-        // `lo <= hi <= m` on any input.
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SnapshotError::Malformed {
-                message: "compressed offsets are not monotone".to_string(),
-            });
-        }
-        let mut targets = vec![0 as NodeId; m];
-        let bad = std::sync::atomic::AtomicBool::new(false);
-        {
-            let out = SharedSlice::new(&mut targets);
-            let decode_one = |u: usize| {
-                let lo = self.offsets[u].to_usize();
-                let hi = self.offsets[u + 1].to_usize();
-                let (blo, bhi) = (self.row_starts[u] as usize, self.row_starts[u + 1] as usize);
-                let Some(bytes) = self.stream.get(blo..bhi.max(blo)) else {
-                    bad.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
-                };
-                // Safety: offsets are monotone and end at m (checked
-                // above), so `lo <= hi <= m` and the per-row ranges
-                // partition the output array disjointly.
-                let row = unsafe { out.range_mut(lo, hi) };
-                if !decode_row(bytes, row, n) {
-                    bad.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-            };
-            match pool {
-                Some(pool) => pool.for_each_index(n, Schedule::Guided, decode_one),
-                None => (0..n).for_each(decode_one),
-            }
-        }
-        if bad.load(std::sync::atomic::Ordering::Relaxed) {
-            return Err(SnapshotError::Malformed {
-                message: "compressed adjacency stream failed validation".to_string(),
-            });
-        }
-        Ok(targets)
-    }
-
-    /// [`Self::decode_vec`] wrapped into a CSR (owned storage).
-    pub fn decode(&self, pool: Option<&ThreadPool>) -> Result<CsrGraph<O>, SnapshotError> {
-        let targets = self.decode_vec(pool)?;
-        Ok(CsrGraph::from_segments_unchecked(
-            self.offsets.clone(),
-            Segment::from_vec(targets),
-        ))
-    }
-}
-
-/// Streaming decoder over one compressed row. See
-/// [`CompressedCsr::row`].
-#[derive(Debug, Clone)]
-pub struct RowIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    prev: u64,
-    first: bool,
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let (raw, used) = read_varint(self.bytes, self.pos)?;
-        self.pos += used;
-        self.remaining -= 1;
-        let val = if self.first {
-            self.first = false;
-            raw
-        } else {
-            self.prev.checked_add(1)?.checked_add(raw)?
-        };
-        if val > u64::from(NodeId::MAX) {
-            self.remaining = 0;
-            return None;
-        }
-        self.prev = val;
-        Some(val as NodeId)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{symmetrize_graph, Builder};
     use crate::edgelist::Edge;
     use crate::gen;
-    use crate::strips::Strips;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1459,47 +961,16 @@ mod tests {
     }
 
     #[test]
-    fn varint_round_trips_every_magnitude() {
-        let mut buf = Vec::new();
-        let values = [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            1 << 20,
-            u64::from(u32::MAX),
-            u64::MAX,
-        ];
-        for &v in &values {
-            write_varint(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            let (got, used) = read_varint(&buf, pos).expect("decodable");
-            assert_eq!(got, v);
-            pos += used;
-        }
-        assert_eq!(pos, buf.len());
-        assert!(read_varint(&[0x80], 0).is_none(), "truncated varint");
-        assert!(
-            read_varint(&[0xff; 11], 0).is_none(),
-            "64-bit overflow rejected"
-        );
-    }
-
-    #[test]
     fn undirected_raw_round_trip_is_bit_identical() {
         let g = gen::kron(8, 8, 3);
         let path = tmp_path("undirected-raw");
-        let stats = write(
-            &path,
-            &SnapshotContents::graph_only(&g, 42),
-            Compression::Never,
-        )
-        .expect("write");
-        assert!((stats.adjacency_ratio() - 1.0).abs() < f64::EPSILON);
+        let stats = write(&path, &SnapshotContents::graph_only(&g, 42)).expect("write");
+        assert_eq!(
+            stats.file_bytes,
+            std::fs::metadata(&path).expect("stat").len()
+        );
         let snap = Snapshot::open(&path).expect("open");
+        assert!(snap.sections().iter().all(|s| s.encoding == "raw"));
         assert_eq!(snap.params_hash(), 42);
         assert_eq!(snap.num_vertices(), g.num_vertices());
         assert!(!snap.is_directed());
@@ -1509,44 +980,14 @@ mod tests {
     }
 
     #[test]
-    fn directed_compressed_round_trip_is_bit_identical() {
+    fn directed_raw_round_trip_is_bit_identical() {
         let (g, _) = directed_fixture();
         assert!(g.is_directed());
-        let path = tmp_path("directed-comp");
-        let stats = write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Always,
-        )
-        .expect("write");
-        assert!(stats.sections.iter().any(|s| s.encoding == "delta-varint"));
+        let path = tmp_path("directed-raw");
+        write(&path, &SnapshotContents::graph_only(&g, 0)).expect("write");
         let snap = Snapshot::open(&path).expect("open");
         let loaded: Graph = snap.graph().expect("load");
         assert_eq!(loaded, g);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compressed_row_iterator_matches_raw_neighbors() {
-        let (g, _) = directed_fixture();
-        let path = tmp_path("row-iter");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Always,
-        )
-        .expect("write");
-        let snap = Snapshot::open(&path).expect("open");
-        let comp: CompressedCsr = snap
-            .compressed_out()
-            .expect("well-formed")
-            .expect("compressed");
-        for u in 0..g.num_vertices() as NodeId {
-            let row: Vec<NodeId> = comp.row(u).collect();
-            assert_eq!(row, g.out_csr().neighbors(u), "row {u}");
-        }
-        // Strips over compressed offsets match strips over the raw CSR.
-        assert_eq!(Strips::pull_compressed(&comp), Strips::pull(g.out_csr()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1571,7 +1012,6 @@ mod tests {
                 delta: 32,
                 params_hash: 7,
             },
-            Compression::Auto,
         )
         .expect("write");
         let snap = Snapshot::open(&path).expect("open");
@@ -1589,12 +1029,7 @@ mod tests {
         let g = gen::urand(7, 5, 9);
         let wide: Graph<usize> = g.to_width().expect("widening always fits");
         let path = tmp_path("wide");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&wide, 0),
-            Compression::Never,
-        )
-        .expect("write");
+        write(&path, &SnapshotContents::graph_only(&wide, 0)).expect("write");
         let snap = Snapshot::open(&path).expect("open");
         assert_eq!(snap.width_bytes(), 8);
         let loaded: Graph<usize> = snap.graph().expect("load");
@@ -1611,12 +1046,7 @@ mod tests {
     fn corrupting_one_byte_is_rejected_with_a_checksum_error() {
         let g = gen::kron(7, 6, 1);
         let path = tmp_path("corrupt");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Never,
-        )
-        .expect("write");
+        write(&path, &SnapshotContents::graph_only(&g, 0)).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -1632,12 +1062,7 @@ mod tests {
     fn paranoid_load_runs_full_validation() {
         let g = gen::kron(7, 6, 2);
         let path = tmp_path("paranoid");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Auto,
-        )
-        .expect("write");
+        write(&path, &SnapshotContents::graph_only(&g, 0)).expect("write");
         let snap = Snapshot::open_with(
             &path,
             LoadOptions {
@@ -1655,12 +1080,7 @@ mod tests {
     fn heap_fallback_load_matches_mmap_load() {
         let g = gen::urand(7, 4, 5);
         let path = tmp_path("heap");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Never,
-        )
-        .expect("write");
+        write(&path, &SnapshotContents::graph_only(&g, 0)).expect("write");
         let mapped = Snapshot::open(&path).expect("mmap open");
         let heaped = Snapshot::open_with(
             &path,
@@ -1686,12 +1106,7 @@ mod tests {
         let path = tmp_path("sibling");
         let sibling = path.with_extension("tmp");
         std::fs::write(&sibling, b"precious").expect("plant sibling");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Never,
-        )
-        .expect("write");
+        write(&path, &SnapshotContents::graph_only(&g, 0)).expect("write");
         assert_eq!(
             std::fs::read(&sibling).expect("sibling survives"),
             b"precious"
@@ -1717,7 +1132,6 @@ mod tests {
                 delta: 2,
                 params_hash: 0,
             },
-            Compression::Never,
         );
         match res {
             Err(GraphError::Snapshot(SnapshotError::Invalid { .. })) => {}

@@ -57,20 +57,6 @@ impl Strips {
         )
     }
 
-    /// [`Strips::pull`] over a delta-varint compressed adjacency. The
-    /// compressed form keeps the ordinary element offsets, so strip
-    /// boundaries (and therefore pull-sweep results) are identical to
-    /// the raw layout's.
-    pub fn pull_compressed<O: OffsetIndex>(comp: &crate::snapshot::CompressedCsr<O>) -> Self {
-        let offsets = comp.offsets_raw();
-        Self::build(
-            comp.num_vertices(),
-            comp.num_edges(),
-            STRIP_BYTES,
-            |target| offsets.partition_point(|&o| o.to_usize() <= target) - 1,
-        )
-    }
-
     /// [`Strips::pull`] over raw `u64` row offsets, for CSR-shaped
     /// structures outside this crate (grb's `GrbMatrix` keeps 64-bit
     /// offsets as the paper's index-width tax).

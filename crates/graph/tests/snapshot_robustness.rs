@@ -8,7 +8,7 @@
 //! section bytes) and assert the loader's verdict on each.
 
 use gapbs_graph::snapshot::{self, LoadOptions, SnapshotContents};
-use gapbs_graph::{gen, Compression, Graph, GraphError, Snapshot, SnapshotError};
+use gapbs_graph::{gen, Graph, GraphError, Snapshot, SnapshotError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -22,15 +22,11 @@ fn tmp_path(tag: &str) -> PathBuf {
 }
 
 /// A valid snapshot's bytes plus its path (callers mutate and rewrite).
-fn good_snapshot(tag: &str, compression: Compression) -> (PathBuf, Vec<u8>) {
+fn good_snapshot(tag: &str) -> (PathBuf, Vec<u8>) {
     let graph = gen::kron(8, 8, 0x5eed);
     let path = tmp_path(tag);
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 99),
-        compression,
-    )
-    .expect("writing a valid snapshot");
+    snapshot::write(&path, &SnapshotContents::graph_only(&graph, 99))
+        .expect("writing a valid snapshot");
     let bytes = std::fs::read(&path).expect("reading it back");
     (path, bytes)
 }
@@ -50,7 +46,7 @@ fn expect_snapshot_error(result: Result<Snapshot, GraphError>, what: &str) -> Sn
 
 #[test]
 fn truncation_at_every_structural_boundary_is_structured() {
-    let (path, bytes) = good_snapshot("trunc", Compression::Never);
+    let (path, bytes) = good_snapshot("trunc");
     // Probe a spread of prefix lengths: inside the header, inside the
     // section table, at section boundaries, one byte short of complete.
     let probes = [
@@ -114,7 +110,7 @@ fn empty_and_garbage_files_are_rejected() {
 
 #[test]
 fn wrong_magic_and_wrong_version_are_distinguished() {
-    let (path, bytes) = good_snapshot("magic", Compression::Never);
+    let (path, bytes) = good_snapshot("magic");
 
     let mut b = bytes.clone();
     b[0] ^= 0xff;
@@ -153,7 +149,7 @@ fn patch_header_checksum(bytes: &mut [u8]) {
 
 #[test]
 fn every_single_byte_flip_in_the_header_is_caught() {
-    let (path, bytes) = good_snapshot("hdrflip", Compression::Never);
+    let (path, bytes) = good_snapshot("hdrflip");
     for pos in 0..64 {
         let mut b = bytes.clone();
         b[pos] ^= 0x01;
@@ -164,33 +160,31 @@ fn every_single_byte_flip_in_the_header_is_caught() {
 
 #[test]
 fn section_payload_corruption_is_a_checksum_mismatch() {
-    for compression in [Compression::Never, Compression::Always] {
-        let (path, bytes) = good_snapshot("payload", compression);
-        // Flip one byte in each quarter of the payload area.
-        let payload_start = 64 + 32 * 4; // conservative: past any table
-        for frac in 1..4 {
-            let mut b = bytes.clone();
-            let pos = payload_start + (b.len() - payload_start) * frac / 4;
-            b[pos] ^= 0x10;
-            let e = expect_snapshot_error(
-                open_bytes(&path, &b),
-                &format!("payload byte {pos} flipped ({compression:?})"),
-            );
-            assert!(
-                matches!(
-                    e,
-                    SnapshotError::ChecksumMismatch { .. } | SnapshotError::Malformed { .. }
-                ),
-                "payload corruption gave {e:?}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
+    let (path, bytes) = good_snapshot("payload");
+    // Flip one byte in each quarter of the payload area.
+    let payload_start = 64 + 32 * 4; // conservative: past any table
+    for frac in 1..4 {
+        let mut b = bytes.clone();
+        let pos = payload_start + (b.len() - payload_start) * frac / 4;
+        b[pos] ^= 0x10;
+        let e = expect_snapshot_error(
+            open_bytes(&path, &b),
+            &format!("payload byte {pos} flipped"),
+        );
+        assert!(
+            matches!(
+                e,
+                SnapshotError::ChecksumMismatch { .. } | SnapshotError::Malformed { .. }
+            ),
+            "payload corruption gave {e:?}"
+        );
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn implausible_counts_are_malformed_not_allocated() {
-    let (path, bytes) = good_snapshot("counts", Compression::Never);
+    let (path, bytes) = good_snapshot("counts");
     // Claim 2^60 vertices: the loader must refuse before attempting any
     // allocation or offset arithmetic.
     let mut b = bytes.clone();
@@ -219,12 +213,7 @@ fn implausible_counts_are_malformed_not_allocated() {
 fn wrong_width_read_is_a_structured_error_not_a_reinterpretation() {
     let graph = gen::kron(7, 6, 11);
     let path = tmp_path("width");
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 0),
-        Compression::Never,
-    )
-    .expect("write narrow");
+    snapshot::write(&path, &SnapshotContents::graph_only(&graph, 0)).expect("write narrow");
     let snap = Snapshot::open(&path).expect("open");
     match snap.graph::<usize>() {
         Err(GraphError::Snapshot(SnapshotError::WidthMismatch { stored, requested })) => {
@@ -247,66 +236,13 @@ fn missing_bundle_sections_are_named() {
     // the first missing section rather than panic on absent data.
     let graph = gen::kron(7, 6, 12);
     let path = tmp_path("missing");
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 0),
-        Compression::Never,
-    )
-    .expect("write");
+    snapshot::write(&path, &SnapshotContents::graph_only(&graph, 0)).expect("write");
     let snap = Snapshot::open(&path).expect("open");
     match snap.bundle_in::<u32>(None) {
         Err(GraphError::Snapshot(SnapshotError::MissingSection { section })) => {
             assert!(!section.is_empty());
         }
         other => panic!("expected MissingSection, got {other:?}"),
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn compressed_stream_corruption_fails_decode_not_process() {
-    // Corrupt the varint stream but fix up the checksum, simulating a
-    // hostile well-checksummed file: the validated decode must reject
-    // it. (Byte 0x00 runs of the stream decode to in-range values, so
-    // target bytes near the end where row framing breaks.)
-    let graph = gen::kron(8, 8, 13);
-    let path = tmp_path("hostile");
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 0),
-        Compression::Always,
-    )
-    .expect("write");
-    let mut bytes = std::fs::read(&path).expect("read");
-
-    // Find the out_targets section row (kind 2) in the table and its
-    // stored checksum slot.
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let mut target_row = None;
-    for i in 0..section_count {
-        let row = 64 + i * 32;
-        let kind = u32::from_le_bytes(bytes[row..row + 4].try_into().unwrap());
-        if kind == 2 {
-            target_row = Some(row);
-        }
-    }
-    let row = target_row.expect("out_targets section present");
-    let off = u64::from_le_bytes(bytes[row + 8..row + 16].try_into().unwrap()) as usize;
-    let len = u64::from_le_bytes(bytes[row + 16..row + 24].try_into().unwrap()) as usize;
-
-    // Truncate the final varint mid-sequence by setting its
-    // continuation bit, then re-checksum section and header.
-    bytes[off + len - 1] |= 0x80;
-    let sum = snapshot::section_checksum(&bytes[off..off + len]);
-    bytes[row + 24..row + 32].copy_from_slice(&sum.to_le_bytes());
-    patch_header_checksum(&mut bytes);
-    std::fs::write(&path, &bytes).expect("rewrite");
-
-    let snap = Snapshot::open(&path).expect("checksums now match");
-    match snap.graph::<u32>() {
-        Err(GraphError::Snapshot(SnapshotError::Malformed { .. })) => {}
-        Err(other) => panic!("expected Malformed from decode, got {other:?}"),
-        Ok(_) => panic!("hostile varint stream decoded successfully"),
     }
     std::fs::remove_file(&path).ok();
 }
@@ -336,37 +272,34 @@ fn reseal(bytes: &mut [u8], row: usize, off: usize, len: usize) {
 
 #[test]
 fn non_monotone_offsets_fail_structurally_on_default_loads() {
-    // A checksum-consistent file with offsets[k] > offsets[k + 1] used
-    // to reach degree arithmetic and the parallel decoder's unsafe
-    // disjoint writes; the default (non-paranoid) load must reject it
-    // with a structured error under both adjacency encodings.
-    for compression in [Compression::Never, Compression::Always] {
-        let (path, mut bytes) = good_snapshot("nonmono", compression);
-        let (row, off, len) = find_section(&bytes, 1); // out_offsets
-        let offsets: Vec<u32> = bytes[off..off + len]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        // Swap an interior increasing pair: first stays 0 and last
-        // still matches the header's arc count, so only the new
-        // monotonicity check can catch the file.
-        let k = (1..offsets.len() - 2)
-            .find(|&k| offsets[k] < offsets[k + 1])
-            .expect("kron graph has an interior increasing offset pair");
-        bytes[off + k * 4..off + k * 4 + 4].copy_from_slice(&offsets[k + 1].to_le_bytes());
-        bytes[off + (k + 1) * 4..off + (k + 1) * 4 + 4].copy_from_slice(&offsets[k].to_le_bytes());
-        reseal(&mut bytes, row, off, len);
-        std::fs::write(&path, &bytes).expect("rewrite");
+    // A checksum-consistent file with offsets[k] > offsets[k + 1] would
+    // reach degree arithmetic and row slicing; the default
+    // (non-paranoid) load must reject it with a structured error.
+    let (path, mut bytes) = good_snapshot("nonmono");
+    let (row, off, len) = find_section(&bytes, 1); // out_offsets
+    let offsets: Vec<u32> = bytes[off..off + len]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    // Swap an interior increasing pair: first stays 0 and last still
+    // matches the header's arc count, so only the monotonicity check
+    // can catch the file.
+    let k = (1..offsets.len() - 2)
+        .find(|&k| offsets[k] < offsets[k + 1])
+        .expect("kron graph has an interior increasing offset pair");
+    bytes[off + k * 4..off + k * 4 + 4].copy_from_slice(&offsets[k + 1].to_le_bytes());
+    bytes[off + (k + 1) * 4..off + (k + 1) * 4 + 4].copy_from_slice(&offsets[k].to_le_bytes());
+    reseal(&mut bytes, row, off, len);
+    std::fs::write(&path, &bytes).expect("rewrite");
 
-        let snap = Snapshot::open(&path).expect("checksums are consistent");
-        match snap.graph::<u32>() {
-            Err(GraphError::Snapshot(SnapshotError::Malformed { message })) => {
-                assert!(message.contains("monotone"), "message: {message}");
-            }
-            other => panic!("({compression:?}) expected Malformed, got {other:?}"),
+    let snap = Snapshot::open(&path).expect("checksums are consistent");
+    match snap.graph::<u32>() {
+        Err(GraphError::Snapshot(SnapshotError::Malformed { message })) => {
+            assert!(message.contains("monotone"), "message: {message}");
         }
-        std::fs::remove_file(&path).ok();
+        other => panic!("expected Malformed, got {other:?}"),
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -374,7 +307,7 @@ fn out_of_range_raw_target_fails_structurally_on_default_loads() {
     // Kernels index (and some unsafely write) per-vertex arrays by
     // target id, so a checksum-consistent raw section holding an
     // out-of-range id must fail the default load, not flow downstream.
-    let (path, mut bytes) = good_snapshot("oobtarget", Compression::Never);
+    let (path, mut bytes) = good_snapshot("oobtarget");
     let (row, off, len) = find_section(&bytes, 2); // out_targets
     bytes[off..off + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
     reseal(&mut bytes, row, off, len);
@@ -391,32 +324,32 @@ fn out_of_range_raw_target_fails_structurally_on_default_loads() {
 }
 
 #[test]
-fn non_monotone_compressed_row_index_fails_decode_not_process() {
-    // Scramble the compressed section's row byte-index (blo > bhi for
-    // some row) while keeping its first/last sentinels: the validated
-    // decode must reject the file rather than slice out of bounds.
-    let (path, mut bytes) = good_snapshot("rowindex", Compression::Always);
-    let (row, off, len) = find_section(&bytes, 2); // out_targets (varint)
-    let n_plus_1 = {
-        let n = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        n + 1
-    };
-    let starts: Vec<u64> = bytes[off..off + n_plus_1 * 8]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let k = (1..starts.len() - 2)
-        .find(|&k| starts[k] < starts[k + 1])
-        .expect("some row has bytes");
-    bytes[off + k * 8..off + k * 8 + 8].copy_from_slice(&starts[k + 1].to_le_bytes());
-    bytes[off + (k + 1) * 8..off + (k + 1) * 8 + 8].copy_from_slice(&starts[k].to_le_bytes());
-    reseal(&mut bytes, row, off, len);
+fn unknown_section_encoding_is_malformed_at_open() {
+    // Encoding 0 (raw) is the only one the format defines. A
+    // checksum-consistent file that labels its targets with any other
+    // encoding must fail the open itself, on both the mmap and the heap
+    // path, so no tool ever reports or loads it.
+    let (path, mut bytes) = good_snapshot("encoding");
+    let (row, _, _) = find_section(&bytes, 2); // out_targets
+    bytes[row + 4..row + 8].copy_from_slice(&1u32.to_le_bytes());
+    patch_header_checksum(&mut bytes);
     std::fs::write(&path, &bytes).expect("rewrite");
 
-    let snap = Snapshot::open(&path).expect("checksums are consistent");
-    match snap.graph::<u32>() {
-        Err(GraphError::Snapshot(SnapshotError::Malformed { .. })) => {}
-        other => panic!("expected Malformed from decode, got {other:?}"),
+    for force_heap in [false, true] {
+        let res = Snapshot::open_with(
+            &path,
+            LoadOptions {
+                paranoid: false,
+                force_heap,
+            },
+        );
+        match expect_snapshot_error(res, &format!("encoding 1 (force_heap {force_heap})")) {
+            SnapshotError::Malformed { message } => {
+                assert!(message.contains("out_targets"), "message: {message}");
+                assert!(message.contains("encoding"), "message: {message}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
     std::fs::remove_file(&path).ok();
 }
@@ -429,12 +362,7 @@ fn paranoid_mode_catches_semantically_invalid_but_well_checksummed_files() {
     // exact trust boundary docs/SNAPSHOT.md documents.
     let graph = gen::kron(8, 8, 14);
     let path = tmp_path("semantic");
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 0),
-        Compression::Never,
-    )
-    .expect("write");
+    snapshot::write(&path, &SnapshotContents::graph_only(&graph, 0)).expect("write");
     let mut bytes = std::fs::read(&path).expect("read");
 
     let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -507,7 +435,7 @@ fn paranoid_mode_catches_semantically_invalid_but_well_checksummed_files() {
 
 #[test]
 fn heap_fallback_rejects_the_same_corruptions() {
-    let (path, bytes) = good_snapshot("heapcorrupt", Compression::Never);
+    let (path, bytes) = good_snapshot("heapcorrupt");
     let mut b = bytes.clone();
     let mid = b.len() / 2;
     b[mid] ^= 0x08;
@@ -538,19 +466,12 @@ fn nonexistent_path_is_io_not_panic() {
 #[test]
 fn good_files_still_load_after_all_that() {
     // Sanity anchor: the fixture generator itself produces loadable
-    // snapshots under both encodings.
-    for compression in [Compression::Never, Compression::Always, Compression::Auto] {
-        let graph = gen::kron(8, 8, 0x5eed);
-        let path = tmp_path("anchor");
-        snapshot::write(
-            &path,
-            &SnapshotContents::graph_only(&graph, 99),
-            compression,
-        )
-        .expect("write");
-        let snap = Snapshot::open(&path).expect("open");
-        let loaded: Graph = snap.graph().expect("load");
-        assert_eq!(loaded, graph);
-        std::fs::remove_file(&path).ok();
-    }
+    // snapshots.
+    let graph = gen::kron(8, 8, 0x5eed);
+    let path = tmp_path("anchor");
+    snapshot::write(&path, &SnapshotContents::graph_only(&graph, 99)).expect("write");
+    let snap = Snapshot::open(&path).expect("open");
+    let loaded: Graph = snap.graph().expect("load");
+    assert_eq!(loaded, graph);
+    std::fs::remove_file(&path).ok();
 }

@@ -522,6 +522,7 @@ impl Fnv1a {
 pub mod canonical {
     use super::Fnv1a;
     use gapbs_graph::types::{Distance, NodeId, Score, NO_PARENT};
+    pub use gapbs_verify::cc_labels;
 
     /// Depth meaning "unreached" in canonical BFS depth arrays.
     pub const UNREACHED: u32 = u32::MAX;
@@ -558,19 +559,6 @@ pub mod canonical {
             }
         }
         depth
-    }
-
-    /// Canonicalizes component labels: every vertex gets the minimum
-    /// vertex id of its component, regardless of which representative
-    /// the union-find races elected.
-    pub fn cc_labels(labels: &[NodeId]) -> Vec<NodeId> {
-        let n = labels.len();
-        let mut min_of = vec![NodeId::MAX; n];
-        for (v, &l) in labels.iter().enumerate() {
-            let slot = &mut min_of[l as usize];
-            *slot = (*slot).min(v as NodeId);
-        }
-        labels.iter().map(|&l| min_of[l as usize]).collect()
     }
 
     /// Fingerprint of a canonical BFS depth array.

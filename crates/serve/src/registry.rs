@@ -37,7 +37,7 @@ pub struct RegistryOptions {
 }
 
 /// One graph's startup accounting: how it was sourced and how long the
-/// load took (generation+preparation on a miss, mmap+decode on a hit).
+/// load took (generation+preparation on a miss, mmap+validate on a hit).
 #[derive(Debug, Clone, Copy)]
 pub struct LoadRecord {
     /// Which graph.

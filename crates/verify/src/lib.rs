@@ -207,6 +207,24 @@ pub fn verify_cc(g: &Graph, labels: &[NodeId]) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// Canonicalizes component labels: every vertex gets the minimum
+/// vertex id of its component, regardless of which representative the
+/// kernel elected. Two label arrays induce the same partition iff their
+/// canonical forms are equal.
+///
+/// # Panics
+///
+/// Every label must be a vertex id (`< labels.len()`), as every CC
+/// kernel in the workspace produces.
+pub fn cc_labels(labels: &[NodeId]) -> Vec<NodeId> {
+    let mut min_of = vec![NodeId::MAX; labels.len()];
+    for (v, &l) in labels.iter().enumerate() {
+        let slot = &mut min_of[l as usize];
+        *slot = (*slot).min(v as NodeId);
+    }
+    labels.iter().map(|&l| min_of[l as usize]).collect()
+}
+
 /// Verifies BC scores against a sequential Brandes oracle.
 ///
 /// # Errors

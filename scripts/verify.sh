@@ -32,6 +32,20 @@ fi
 echo "== smoke: tiny-corpus run_all --ledger =="
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
+
+# Diffs "$smoke_dir/<name>.jsonl" against the committed
+# results/baseline-<name>.jsonl with wide thresholds (3x ratio, 0.25 s
+# floor), warning instead when the baseline is missing.
+compare_baseline() {
+    local name=$1
+    if [[ -f "results/baseline-$name.jsonl" ]]; then
+        cargo run -q --release -p gapbs-bench --bin perf_compare -- \
+            --ratio 3 --floor 0.25 \
+            "results/baseline-$name.jsonl" "$smoke_dir/$name.jsonl"
+    else
+        echo "WARN: results/baseline-$name.jsonl missing; skipping $name baseline compare"
+    fi
+}
 GAPBS_SCALE=tiny GAPBS_TRIALS=1 GAPBS_CSV="$smoke_dir/results.csv" \
     cargo run -q --release --features telemetry -p gapbs-bench --bin run_all -- \
     --ledger "$smoke_dir/ledger.jsonl" > "$smoke_dir/run_all.out"
@@ -96,13 +110,7 @@ cargo run -q --release -p gapbs-bench --bin build_bench -- \
 # thresholds: construction cells are hundreds of ms at this scale and
 # cross-host variance is large, so this catches order-of-magnitude
 # blowups (e.g. an accidental quadratic stage), not host jitter.
-if [[ -f results/baseline-build.jsonl ]]; then
-    cargo run -q --release -p gapbs-bench --bin perf_compare -- \
-        --ratio 3 --floor 0.25 \
-        results/baseline-build.jsonl "$smoke_dir/build.jsonl"
-else
-    echo "WARN: results/baseline-build.jsonl missing; skipping build baseline compare"
-fi
+compare_baseline build
 
 echo "== smoke: GraphBLAS kernel engine (grb_bench) =="
 # grb_bench asserts the pooled engine's kernel outputs are bit-identical
@@ -121,13 +129,7 @@ cargo run -q --release -p gapbs-bench --bin grb_bench -- \
 # Diff engine kernel times against the committed baseline. Same wide
 # thresholds as the build baseline: catches order-of-magnitude blowups
 # (an accidental O(n) alloc per op, a serialized path), not host jitter.
-if [[ -f results/baseline-grb.jsonl ]]; then
-    cargo run -q --release -p gapbs-bench --bin perf_compare -- \
-        --ratio 3 --floor 0.25 \
-        results/baseline-grb.jsonl "$smoke_dir/grb.jsonl"
-else
-    echo "WARN: results/baseline-grb.jsonl missing; skipping grb baseline compare"
-fi
+compare_baseline grb
 
 echo "== smoke: multi-source BFS engine (msbfs_bench) =="
 # msbfs_bench asserts every batched search's canonical depths are
@@ -148,13 +150,7 @@ cargo run -q --release -p gapbs-bench --bin msbfs_bench -- \
 # Diff against the committed baseline with the same wide thresholds as
 # the other microbench baselines: catches order-of-magnitude blowups,
 # not host jitter.
-if [[ -f results/baseline-msbfs.jsonl ]]; then
-    cargo run -q --release -p gapbs-bench --bin perf_compare -- \
-        --ratio 3 --floor 0.25 \
-        results/baseline-msbfs.jsonl "$smoke_dir/msbfs.jsonl"
-else
-    echo "WARN: results/baseline-msbfs.jsonl missing; skipping msbfs baseline compare"
-fi
+compare_baseline msbfs
 
 echo "== smoke: layout engine (layout_bench) =="
 # layout_bench first proves the compact u32-offset layout cannot change
@@ -176,13 +172,7 @@ cargo run -q --release -p gapbs-bench --bin layout_bench -- \
 # Same wide time thresholds as the other microbench baselines; the
 # GRAPH-BYTES section is report-only but makes any layout growth visible
 # in the verify log.
-if [[ -f results/baseline-layout.jsonl ]]; then
-    cargo run -q --release -p gapbs-bench --bin perf_compare -- \
-        --ratio 3 --floor 0.25 \
-        results/baseline-layout.jsonl "$smoke_dir/layout.jsonl"
-else
-    echo "WARN: results/baseline-layout.jsonl missing; skipping layout baseline compare"
-fi
+compare_baseline layout
 
 echo "== smoke: snapshot round-trip + corruption rejection =="
 # Build two tiny corpus snapshots, inspect one, load it back through the
@@ -193,12 +183,12 @@ snap_dir="$smoke_dir/snaps"
 cargo run -q --release --bin gapbs-snapshot -- \
     build --dir "$snap_dir" --scale tiny --graphs kron,road > /dev/null
 cargo run -q --release --bin gapbs-snapshot -- \
-    info "$snap_dir/kron-tiny-v2.gsnap" > "$smoke_dir/snap_info.out"
-grep -q 'format version : 2' "$smoke_dir/snap_info.out" \
+    info "$snap_dir/kron-tiny-v3.gsnap" > "$smoke_dir/snap_info.out"
+grep -q 'format version : 3' "$smoke_dir/snap_info.out" \
     || { echo "FAIL: snapshot info shows no format version"; cat "$smoke_dir/snap_info.out"; exit 1; }
 cargo run -q --release --bin gapbs-snapshot -- \
-    verify "$snap_dir/kron-tiny-v2.gsnap" --paranoid > /dev/null
-cp "$snap_dir/road-tiny-v2.gsnap" "$snap_dir/bad.gsnap"
+    verify "$snap_dir/kron-tiny-v3.gsnap" --paranoid > /dev/null
+cp "$snap_dir/road-tiny-v3.gsnap" "$snap_dir/bad.gsnap"
 orig=$(dd if="$snap_dir/bad.gsnap" bs=1 skip=2048 count=1 status=none | od -An -tu1 | tr -d ' ')
 printf "\\$(printf '%03o' $(( (orig + 1) % 256 )))" \
     | dd of="$snap_dir/bad.gsnap" bs=1 seek=2048 count=1 conv=notrunc status=none
@@ -212,8 +202,8 @@ grep -q 'checksum mismatch' "$smoke_dir/bad.err" \
 rm "$snap_dir/bad.gsnap"
 
 echo "== smoke: snapshot_bench (mmap cold-start gate + identity matrix) =="
-# snapshot_bench first proves decompressed loads are bit-identical to the
-# in-memory build (kernels + streamed decode, both offset widths, thread
+# snapshot_bench first proves snapshot loads are bit-identical to the
+# in-memory build (graph + kernel outputs, both offset widths, thread
 # counts {1,2,7,16}), then gates the zero-copy mmap load at >=50x over a
 # full rebuild on the medium corpus. mmap-vs-rebuild is not a parallelism
 # claim, so unlike the speedup benches this gate applies on every host.
@@ -222,13 +212,7 @@ cargo run -q --release -p gapbs-bench --bin snapshot_bench -- \
     --ledger "$smoke_dir/snapshot.jsonl"
 # Diff cold-start times against the committed baseline with the same wide
 # thresholds as the other microbench baselines.
-if [[ -f results/baseline-snapshot.jsonl ]]; then
-    cargo run -q --release -p gapbs-bench --bin perf_compare -- \
-        --ratio 3 --floor 0.25 \
-        results/baseline-snapshot.jsonl "$smoke_dir/snapshot.jsonl"
-else
-    echo "WARN: results/baseline-snapshot.jsonl missing; skipping snapshot baseline compare"
-fi
+compare_baseline snapshot
 
 echo "== smoke: perf_compare gate =="
 # Identical ledgers must pass...

@@ -7,8 +7,8 @@
 //! cargo run --release --bin gapbs-snapshot -- build --dir snapshots --scale medium
 //!
 //! # What's in a file, and does it still checksum?
-//! cargo run --release --bin gapbs-snapshot -- info snapshots/kron-medium-v2.gsnap
-//! cargo run --release --bin gapbs-snapshot -- verify snapshots/kron-medium-v2.gsnap --paranoid
+//! cargo run --release --bin gapbs-snapshot -- info snapshots/kron-medium-v3.gsnap
+//! cargo run --release --bin gapbs-snapshot -- verify snapshots/kron-medium-v3.gsnap --paranoid
 //! ```
 //!
 //! `verify` exits 0 when the file is sound and 1 with the structured
@@ -18,21 +18,21 @@
 use gapbs_core::framework::BenchGraph;
 use gapbs_core::snapshot_cache::snapshot_path;
 use gapbs_graph::gen::{GraphSpec, Scale};
-use gapbs_graph::snapshot::{Compression, LoadOptions, Snapshot};
+use gapbs_graph::snapshot::{LoadOptions, Snapshot};
 use gapbs_parallel::ThreadPool;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 const USAGE: &str = "\
 usage: gapbs-snapshot build --dir <dir> [--scale tiny|small|medium|large]
-                      [--graphs web,twitter,...] [--compression auto|never|always]
-                      [--threads <n>]
+                      [--graphs web,twitter,...] [--threads <n>]
        gapbs-snapshot info <file.gsnap>
        gapbs-snapshot verify <file.gsnap> [--paranoid]
 
 build writes each corpus graph to its canonical cache path under --dir
-(the same naming `--snapshot-dir` consumers probe), info prints the
-header and section table, verify checksums the file (0 sound, 1 not).";
+(the same naming `--snapshot-dir` consumers probe) with every section
+stored raw, info prints the header and section table, verify checksums
+the file (0 sound, 1 not).";
 
 fn usage_exit() -> ! {
     eprintln!("{USAGE}");
@@ -56,7 +56,6 @@ fn build(args: &[String]) {
     let mut dir: Option<PathBuf> = None;
     let mut scale = Scale::Medium;
     let mut graphs: Option<Vec<String>> = None;
-    let mut compression = Compression::Auto;
     let mut threads = 2usize;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -69,17 +68,6 @@ fn build(args: &[String]) {
             "--dir" => dir = Some(value().into()),
             "--scale" => scale = parse_scale(value()),
             "--graphs" => graphs = Some(value().split(',').map(|g| g.to_lowercase()).collect()),
-            "--compression" => {
-                compression = match value() {
-                    "auto" => Compression::Auto,
-                    "never" => Compression::Never,
-                    "always" => Compression::Always,
-                    other => {
-                        eprintln!("unknown compression {other:?}");
-                        usage_exit()
-                    }
-                }
-            }
             "--threads" => {
                 threads = value().parse().unwrap_or_else(|_| usage_exit());
             }
@@ -110,19 +98,16 @@ fn build(args: &[String]) {
             }
         }
         let built = BenchGraph::generate_in(spec, scale, &pool);
-        let stats = built
-            .write_snapshot_with(&dir, scale, compression)
-            .unwrap_or_else(|e| {
-                eprintln!("{spec}: {e}");
-                exit(1);
-            });
+        let stats = built.write_snapshot(&dir, scale).unwrap_or_else(|e| {
+            eprintln!("{spec}: {e}");
+            exit(1);
+        });
         println!(
-            "{}: {} vertices, {} arcs, {} bytes, adjacency ratio {:.3}",
+            "{}: {} vertices, {} arcs, {} bytes",
             snapshot_path(&dir, spec, scale).display(),
             built.graph.num_vertices(),
             built.graph.num_arcs(),
             stats.file_bytes,
-            stats.adjacency_ratio(),
         );
     }
 }
@@ -164,8 +149,8 @@ fn info(path: &Path) {
     }
 }
 
-/// Materializes every stored structure so paranoid validation (and the
-/// compressed decoders) actually run, not just the header checks.
+/// Materializes every stored structure so the structural checks (and
+/// paranoid validation) actually run, not just the header checks.
 fn verify(path: &Path, paranoid: bool) {
     let snap = open_or_die(path, paranoid);
     let loaded = match snap.width_bytes() {

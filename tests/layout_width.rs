@@ -24,7 +24,7 @@ use gapbs::graphit;
 use gapbs::nwgraph::{self, InRange, OutRange, WeightedOutRange};
 use gapbs::parallel::ThreadPool;
 use gapbs::suitesparse::lagraph::{self, LaGraphContext};
-use std::collections::HashMap;
+use gapbs::verify::cc_labels;
 
 /// Pool sizes crossing the parallel cutoffs from both sides.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -53,19 +53,6 @@ fn build_widths() -> Widths {
     }
 }
 
-/// Relabels component ids to the smallest vertex in each component, so
-/// two label arrays compare equal iff they induce the same partition.
-fn canonical_partition(labels: &[NodeId]) -> Vec<NodeId> {
-    let mut smallest: HashMap<NodeId, NodeId> = HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        smallest
-            .entry(l)
-            .and_modify(|m| *m = (*m).min(v as NodeId))
-            .or_insert(v as NodeId);
-    }
-    labels.iter().map(|l| smallest[l]).collect()
-}
-
 fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
@@ -86,7 +73,7 @@ fn ref_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool) ->
         bfs_depths: depths_from_parents(&gap_ref::bfs(g, 0, pool)),
         sssp_dists: gap_ref::sssp(wg, 0, SSSP_DELTA, pool),
         pr_bits: bits(&gap_ref::pr(g, pool).scores),
-        cc_canonical: canonical_partition(&gap_ref::cc(g, pool)),
+        cc_canonical: cc_labels(&gap_ref::cc(g, pool)),
         bc_bits: bits(&gap_ref::bc(g, &BC_SOURCES, pool)),
         triangles: gap_ref::tc(g, pool),
     }
@@ -148,7 +135,7 @@ fn gkc_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool) ->
         bfs_depths: depths_from_parents(&gkc::bfs(g, 0, pool)),
         sssp_dists: gkc::sssp(wg, 0, SSSP_DELTA, pool),
         pr_bits: bits(&gkc::pr(g, PR_DAMPING, PR_TOLERANCE, PR_MAX_ITERS, pool).0),
-        cc_canonical: canonical_partition(&gkc::cc(g, pool)),
+        cc_canonical: cc_labels(&gkc::cc(g, pool)),
         bc_bits: bits(&gkc::bc(g, &BC_SOURCES, pool)),
         triangles: gkc::tc(g, pool),
     }
@@ -163,7 +150,7 @@ fn galois_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool)
         bfs_depths: depths_from_parents(&galois::bfs(g, 0, style, pool)),
         sssp_dists: galois::sssp(wg, 0, SSSP_DELTA, style, pool),
         pr_bits: bits(&galois::pr(g, PR_DAMPING, PR_TOLERANCE, PR_MAX_ITERS, pool).0),
-        cc_canonical: canonical_partition(&galois::cc(g, CcVariant::VertexAfforest, pool)),
+        cc_canonical: cc_labels(&galois::cc(g, CcVariant::VertexAfforest, pool)),
         bc_bits: bits(&galois::bc(g, &BC_SOURCES, style, pool)),
         triangles: galois::tc(g, Relabeling::HeuristicTimed, pool),
     }
@@ -176,7 +163,7 @@ fn graphit_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool
         bfs_depths: depths_from_parents(&graphit::bfs(g, 0, &sched, pool)),
         sssp_dists: graphit::sssp(wg, 0, SSSP_DELTA, sched.bucket_fusion, pool),
         pr_bits: bits(&graphit::pr(g, PR_DAMPING, PR_TOLERANCE, PR_MAX_ITERS, false, pool).0),
-        cc_canonical: canonical_partition(&graphit::cc(g, false, pool)),
+        cc_canonical: cc_labels(&graphit::cc(g, false, pool)),
         bc_bits: bits(&graphit::bc(
             g,
             &BC_SOURCES,
@@ -194,7 +181,7 @@ fn nwgraph_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool
         bfs_depths: depths_from_parents(&nwgraph::bfs(&out, &inc, 0, pool)),
         sssp_dists: nwgraph::sssp(&WeightedOutRange(wg), 0, SSSP_DELTA, pool),
         pr_bits: bits(&nwgraph::pr(&out, &inc, PR_DAMPING, PR_TOLERANCE, PR_MAX_ITERS, pool).0),
-        cc_canonical: canonical_partition(&nwgraph::cc(&out, pool)),
+        cc_canonical: cc_labels(&nwgraph::cc(&out, pool)),
         bc_bits: bits(&nwgraph::bc(&out, &BC_SOURCES, pool)),
         triangles: nwgraph::tc(&out, pool),
     }
@@ -206,7 +193,7 @@ fn grb_suite<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>, pool: &ThreadPool) ->
         bfs_depths: depths_from_parents(&lagraph::bfs(&ctx, 0, pool)),
         sssp_dists: lagraph::sssp(&ctx, 0, SSSP_DELTA, pool),
         pr_bits: bits(&lagraph::pr(&ctx, PR_DAMPING, PR_TOLERANCE, PR_MAX_ITERS, pool).0),
-        cc_canonical: canonical_partition(&lagraph::cc(&ctx, pool)),
+        cc_canonical: cc_labels(&lagraph::cc(&ctx, pool)),
         bc_bits: bits(&lagraph::bc(&ctx, &BC_SOURCES, pool)),
         triangles: lagraph::tc(&ctx, pool),
     }
@@ -297,8 +284,8 @@ fn forced_wide_fallback_matches_narrow() {
             "pr score bits at {threads} threads"
         );
         assert_eq!(
-            canonical_partition(&gap_ref::cc(&narrow, &pool)),
-            canonical_partition(&gap_ref::cc(&wide, &pool)),
+            cc_labels(&gap_ref::cc(&narrow, &pool)),
+            cc_labels(&gap_ref::cc(&wide, &pool)),
             "cc partition at {threads} threads"
         );
         assert_eq!(
